@@ -33,7 +33,7 @@ print("grid referee (box spectrum of the exact potential): node counts")
 sol = solve_matrix(p, 0, h2.mu, OracleConfig(), 5, PAPER, below_asymptote_only=False)
 print("  ", sol.node_counts, " -> the k-th state carries k nodes, as Sturm theory demands")
 print()
-print("normalization is numerical and convention-independent in contract:")
+print("normalization is exact Gauss-Jacobi quadrature, the same contract for every convention:")
 for conv in ("literal", "weight", "orthodox"):
     psi = wavefunction(np.linspace(1e-6, 250.0, 400001), p, h2.mu, 2, 0, PAPER,
                        normalized=True, convention=conv)

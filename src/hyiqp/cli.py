@@ -291,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(sp)
     sp.set_defaults(func=cmd_figure)
 
-    sp = sub.add_parser("check", help="run a verification suite")
+    sp = sub.add_parser("check", help="run a verification suite", description=(
+        "Run a verification suite.  Every suite runs in paper mode (hbar = 1, bare "
+        "constants); there is no --mode option."))
     sp.add_argument("suite", choices=("hft", "reduction", "nu", "oracle", "all"))
     sp.set_defaults(func=cmd_check)
 

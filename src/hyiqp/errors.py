@@ -36,4 +36,5 @@ class UnknownMoleculeError(HyiqpError, KeyError):
 
 
 class ConvergenceError(HyiqpError, RuntimeError):
-    """A numerical routine (quadrature, eigenvalue matching) failed to converge."""
+    """A numerical result could not be formed: Numerov matching or a quantization
+    audit failed, or a state's normalization constant leaves double range."""

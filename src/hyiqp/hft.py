@@ -123,10 +123,11 @@ def d_energy_d_param(p: PotentialParams, mu: float, n: int, l: float, which: str
     return DerivativeResult(analytic=analytic, finite_difference=fd, rel_gap=gap)
 
 
-def _params_for(molecule_or_params, v0: float) -> tuple[PotentialParams, float | None]:
-    if isinstance(molecule_or_params, Molecule):
-        return PotentialParams.from_molecule(molecule_or_params, v0=v0), molecule_or_params.mu
-    return molecule_or_params, None
+def _params_for(molecule: Molecule, v0: float, for_params: str) -> tuple[PotentialParams, float]:
+    if not isinstance(molecule, Molecule):
+        raise DomainError(f"expected a Molecule, got {type(molecule).__name__}; "
+                          f"use {for_params} for bare potential parameters")
+    return PotentialParams.from_molecule(molecule, v0=v0), molecule.mu
 
 
 def r_m2_for_params(p: PotentialParams, mu: float, n: int, l: int,
@@ -174,25 +175,25 @@ def p2_for_params(p: PotentialParams, mu: float, n: int, l: int,
 
 def expect_r_m2(molecule: Molecule, n: int, l: int, constants: PhysicalConstants,
                 v0: float = 0.0) -> ObservableValue:
-    p, mu = _params_for(molecule, v0)
+    p, mu = _params_for(molecule, v0, "r_m2_for_params")
     return r_m2_for_params(p, mu, n, l, constants)
 
 
 def expect_r_m1(molecule: Molecule, n: int, l: int, constants: PhysicalConstants,
                 exp_factor_r: float | None = None, v0: float = 0.0) -> ObservableValue:
-    p, mu = _params_for(molecule, v0)
+    p, mu = _params_for(molecule, v0, "r_m1_for_params")
     return r_m1_for_params(p, mu, n, l, constants, exp_factor_r)
 
 
 def expect_kinetic(molecule: Molecule, n: int, l: int, constants: PhysicalConstants,
                    v0: float = 0.0) -> ObservableValue:
-    p, mu = _params_for(molecule, v0)
+    p, mu = _params_for(molecule, v0, "kinetic_for_params")
     return kinetic_for_params(p, mu, n, l, constants)
 
 
 def expect_p2(molecule: Molecule, n: int, l: int, constants: PhysicalConstants,
               v0: float = 0.0) -> ObservableValue:
-    p, mu = _params_for(molecule, v0)
+    p, mu = _params_for(molecule, v0, "p2_for_params")
     return p2_for_params(p, mu, n, l, constants)
 
 
@@ -224,7 +225,7 @@ def expectation_set(molecule: Molecule, n: int, l: int, constants: PhysicalConst
     """All four observables of one state along one derivation path."""
     if derivation not in ("paper_formula", "machine_derivative"):
         raise DomainError(f"unknown derivation path {derivation!r}")
-    p, mu = _params_for(molecule, v0)
+    p, mu = _params_for(molecule, v0, "observable_for_params")
     vals = {
         "r-2": r_m2_for_params(p, mu, n, l, constants),
         "r-1": r_m1_for_params(p, mu, n, l, constants, exp_factor_r),

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .constants import PAPER, PhysicalConstants, hbar2_over_2mu
 from .errors import ConvergenceError, DomainError
@@ -110,6 +109,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     bound states; by default they are dropped with a diagnostic, and the
     bound subset (possibly empty) is returned.
     """
+    from scipy.linalg import eigh_tridiagonal
     if k_states < 1:
         raise DomainError("k_states must be at least 1")
     _full, r, h = _interior_grid(cfg)

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import PhysicalConstants, hbar2_over_2mu
 from .errors import ConvergenceError, DomainError, UnsupportedRegimeError
@@ -330,36 +329,42 @@ def _psi_factors(p: PotentialParams, mu: float, n: int, l: int,
     return res, sqrt_p, a_exp, b_exp
 
 
-def _psi_raw(r, p, n, sqrt_p, gamma, a_exp, b_exp):
-    s = np.exp(-2.0 * p.alpha * np.asarray(r, dtype=float))
-    return s**sqrt_p * (1.0 - s) ** (0.5 + 0.5 * gamma) * jacobi(n, a_exp, b_exp, 1.0 - 2.0 * s)
-
-
 def normalization_constant(p: PotentialParams, mu: float, n: int, l: int,
                            constants: PhysicalConstants,
                            convention: str = "literal") -> float:
     """N such that the squared wave function integrates to one on (0, inf).
 
-    Adaptive quadrature on (0, r_max] with r_max set so the integrand tail
-    exp(-4 alpha sqrtP r) has dropped below 1e-12.
+    With x = 1 - 2 exp(-2 alpha r), for every convention,
+
+        int psi^2 dr = (1/2alpha) 2^-(2sqrtP+gamma+1)
+                       int (1-x)^(2sqrtP-1) (1+x)^(1+gamma) P_n(x)^2 dx
+                     = (1/2alpha) B(2sqrtP, 2+gamma) mean(P_n^2),
+
+    the mean taken with the normalized Gauss-Jacobi weights of n+1 nodes,
+    exact for the degree-2n P_n^2.  B is formed in logarithms, so large
+    sqrtP takes the same path; ConvergenceError if N leaves double range.
     """
+    from scipy.special import roots_jacobi
+
     res, sqrt_p, a_exp, b_exp = _psi_factors(p, mu, n, l, constants, convention)
-    # tail: psi^2 ~ exp(-4 alpha sqrtP r); 12 decades plus margin
-    r_tail = 12.0 * math.log(10.0) / (4.0 * p.alpha * sqrt_p)
-    r_max = 1.5 * r_tail + 10.0 / p.alpha
-    interior = sorted({min(r_max * 0.5, x / p.alpha) for x in (0.5, 1.0, 2.0, 5.0)})
-    out = quad(
-        lambda rv: _psi_raw(rv, p, n, sqrt_p, res.gamma, a_exp, b_exp) ** 2,
-        0.0, r_max, points=interior, limit=500, epsabs=0.0, epsrel=1e-10,
-        full_output=1,
-    )
-    val, err = out[0], out[1]
-    if (len(out) > 3 or not math.isfinite(val) or val <= 0.0
-            or err > 5e-8 * abs(val)):
-        raise ConvergenceError(
-            f"normalization quadrature did not converge (value={val!r}, err={err!r})"
-        )
-    return 1.0 / math.sqrt(val)
+    # only the nodes are used: the weights overflow with 2^(2sqrtP) for sqrtP > ~500
+    with np.errstate(over="ignore"):
+        x = roots_jacobi(n + 1, 2.0 * sqrt_p - 1.0, 1.0 + res.gamma)[0]
+    # Christoffel weights 1 / ((1 - x_i^2) P'_{n+1}(x_i)^2) up to a common
+    # factor, with P'_{n+1}(x_i) ~ prod_{j != i} (x_i - x_j): no polynomial
+    # is evaluated, so they carry no cancellation error
+    weights = 1.0 / ((1.0 - x * x) * np.prod(x[:, None] - x + np.eye(n + 1), axis=1) ** 2)
+    mean = float(np.sum(weights * jacobi(n, a_exp, b_exp, x) ** 2) / np.sum(weights))
+    if not 0.0 < mean < math.inf:
+        raise ConvergenceError(f"Gauss-Jacobi mean of P_n^2 is {mean!r} at n={n}, l={l}")
+    log_beta = (math.lgamma(2.0 * sqrt_p) + math.lgamma(2.0 + res.gamma)
+                - math.lgamma(2.0 * sqrt_p + 2.0 + res.gamma))
+    log_norm = 0.5 * (math.log(2.0 * p.alpha) - log_beta - math.log(mean))
+    try:
+        return math.exp(log_norm)
+    except OverflowError:
+        raise ConvergenceError(f"normalization constant exp({log_norm:.6g}) exceeds "
+                               f"double range at n={n}, l={l}") from None
 
 
 def wavefunction(r, p: PotentialParams, mu: float, n: int, l: int,
@@ -374,7 +379,9 @@ def wavefunction(r, p: PotentialParams, mu: float, n: int, l: int,
     if np.any(r <= 0.0):
         raise DomainError("r must be strictly positive")
     res, sqrt_p, a_exp, b_exp = _psi_factors(p, mu, n, l, constants, convention)
-    psi = _psi_raw(r, p, n, sqrt_p, res.gamma, a_exp, b_exp)
+    s = np.exp(-2.0 * p.alpha * r)
+    psi = (s**sqrt_p * (1.0 - s) ** (0.5 + 0.5 * res.gamma)
+           * jacobi(n, a_exp, b_exp, 1.0 - 2.0 * s))
     if normalized:
         psi = psi * normalization_constant(p, mu, n, l, constants, convention)
     return psi if psi.ndim else float(psi)

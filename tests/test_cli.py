@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +179,23 @@ def test_fmt_12_significant_digits():
     assert fmt(None) == ""
     assert fmt(True) == "true"
     assert fmt(-0.125) == "-0.125"
+
+
+def test_energy_imports_no_scipy_submodules():
+    # scipy.integrate alone costs most of a cold CLI call; the closed-form
+    # commands must not import it, nor scipy.special or scipy.linalg
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import hyiqp.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hyiqp.cli.main(['energy', '--molecule', 'CO', '--n', '3', '--l', '2'])\n"
+        "assert code == 0\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.linalg')"
+        " if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -143,6 +143,21 @@ def test_expect_wrappers_accept_v0():
     assert with_v0.machine_derivative != without.machine_derivative
 
 
+@pytest.mark.parametrize("func,for_params", [
+    (expect_r_m2, "r_m2_for_params"),
+    (expect_r_m1, "r_m1_for_params"),
+    (expect_kinetic, "kinetic_for_params"),
+    (expect_p2, "p2_for_params"),
+    (expectation_set, "observable_for_params"),
+])
+def test_molecule_wrappers_reject_bare_params(func, for_params):
+    # bare parameters carry no reduced mass; the error names the function
+    # that takes one
+    p = PotentialParams.from_molecule(H2)
+    with pytest.raises(DomainError, match=for_params):
+        func(p, 0, 0, PAPER)
+
+
 def test_report_layout_and_determinism():
     fixtures = load_fixture("10")
     rows1 = expectation_report(H2, "T", n_max=2, l_max=1, constants=PAPER,

@@ -1,6 +1,6 @@
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import eval_jacobi
 
 from hyiqp.errors import DomainError
 from hyiqp.jacobi import jacobi
@@ -25,44 +25,34 @@ def test_degree_two_against_explicit_binomials():
     assert np.allclose(jacobi(2, a, b, x), expected, rtol=1e-12)
 
 
-def _binom(z, k):
-    out = 1.0
-    for i in range(k):
-        out *= (z - i) / (k - i)
-    return out
+def _mp_jacobi(n, a, b, x):
+    """P_n^(a,b)(x) from mpmath's hypergeometric form at 40 digits."""
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.jacobi(n, a, b, xi)) for xi in np.atleast_1d(x)])
 
 
-def _jacobi_binomial(n, a, b, x):
-    return sum(_binom(n + a, n - k) * _binom(n + b, k)
-               * ((x - 1) / 2) ** k * ((x + 1) / 2) ** (n - k)
-               for k in range(n + 1))
-
-
-def test_matches_scipy_for_random_real_parameters():
+def test_matches_mpmath_for_random_real_parameters():
+    # every draw is checked, including the combinations where
+    # scipy.special.eval_jacobi returns NaN or inf
     rng = np.random.default_rng(42)
-    checked = 0
     for _ in range(300):
         n = int(rng.integers(0, 11))
         a = float(rng.uniform(-25, 25))
         b = float(rng.uniform(-25, 25))
         x = rng.uniform(-1, 1, size=4)
-        ref = eval_jacobi(n, a, b, x)
-        if not np.all(np.isfinite(ref)):
-            continue  # scipy gives up on some negative-parameter combinations
-        checked += 1
+        ref = _mp_jacobi(n, a, b, x)
         mine = jacobi(n, a, b, x)
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.allclose(mine, ref, rtol=1e-8, atol=1e-8 * scale)
-    assert checked > 250
 
 
-def test_degenerate_parameters_fall_back_to_sum():
-    # alpha + beta = -2 zeroes the leading recurrence coefficient at k = 2;
-    # scipy returns NaN here, so the binomial expansion is the referee
-    a, b = 1.0, -3.0
+def test_degenerate_parameters_match_mpmath():
+    # 2k + alpha + beta hits 0 or 2 for some k <= n: a three-term-recurrence
+    # denominator vanishes and scipy returns NaN or inf; mpmath is the referee
     x = np.linspace(-0.9, 0.9, 11)
-    ref = np.array([_jacobi_binomial(2, a, b, xi) for xi in x])
-    assert np.allclose(jacobi(2, a, b, x), ref, rtol=1e-12, atol=1e-12)
+    for n, a, b in ((2, 1.0, -3.0), (3, 0.5, -4.5), (5, -2.5, -5.5)):
+        assert np.allclose(jacobi(n, a, b, x), _mp_jacobi(n, a, b, x),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_scalar_input_stays_scalar_shaped():

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hyiqp.constants import PAPER, get_molecule
-from hyiqp.errors import DomainError
+from hyiqp.constants import PAPER, PHYSICAL, for_mode, get_molecule
+from hyiqp.errors import ConvergenceError, DomainError, HyiqpError
 from hyiqp.oracle import OracleConfig, solve_matrix
 from hyiqp.potential import PotentialParams
 from hyiqp.spectrum import (count_sign_changes, energy,
@@ -15,6 +18,21 @@ H2 = get_molecule("H2")
 H2_P = PotentialParams.from_molecule(H2, v0=0.0)
 ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
 ANCHOR_CFG = OracleConfig(r_min=1e-7, r_max=1.1, n_points=20000)
+CONVENTIONS = ("literal", "weight", "orthodox")
+
+# Jacobi exponents (a, b) of each convention in terms of sqrtP and gamma,
+# restated from the spectrum module's documentation
+REF_EXPONENTS = {
+    "literal": lambda sp, g: (2 * sp - 4 * g, -2 * sp - 4 * g),
+    "weight": lambda sp, g: (2 * sp - g, -2 * sp - g),
+    "orthodox": lambda sp, g: (2 * sp, g),
+}
+# sqrtP ~ 1016: the weight's mass 2^(2 sqrtP + gamma + 1) B(...) overflows
+LARGE_ROOT_P = PotentialParams(v0=8.0, a=1.0, b=2.0, c=2.0, alpha=0.2)
+LARGE_ROOT_MU = 6.86
+# sqrtP ~ 1192: N itself exceeds double range
+HUGE_ROOT_P = PotentialParams(v0=0.0, a=1.0, b=200.0, c=2.0, alpha=0.5)
+HUGE_ROOT_MU = 60.0
 
 
 def trapezoid_norm(p, mu, n, l, convention, r_max, points=400001):
@@ -22,6 +40,82 @@ def trapezoid_norm(p, mu, n, l, convention, r_max, points=400001):
     r = np.linspace(1e-6, r_max, points)
     psi = wavefunction(r, p, mu, n, l, PAPER, normalized=True, convention=convention)
     return np.trapezoid(psi * psi, r)
+
+
+def exact_norm_error(p, mu, n, l, constants, convention):
+    """|N^2 int psi^2 dr - 1| with the integral summed exactly at 50 digits.
+
+    With s = exp(-2 alpha r) and P_n(1 - 2s) = sum_k c_k s^k (1-s)^(n-k),
+    int psi^2 dr = sum_m B(2 sqrtP + m, 2 + gamma + 2n - m)
+    sum_{j+k=m} c_j c_k / (2 alpha): no quadrature node and no
+    double-precision polynomial value enters.
+    """
+    res = energy(p, mu, n, l, constants)
+    norm = normalization_constant(p, mu, n, l, constants, convention)
+    with mpmath.workdps(50):
+        sp, g = mpmath.mpf(abs(res.root)), mpmath.mpf(res.gamma)
+        a, b = REF_EXPONENTS[convention](sp, g)
+        c = [(-1) ** k * mpmath.binomial(n + a, n - k) * mpmath.binomial(n + b, k)
+             for k in range(n + 1)]
+        total = mpmath.fsum(
+            mpmath.beta(2 * sp + m, 2 + g + 2 * n - m)
+            * mpmath.fsum(c[j] * c[m - j] for j in range(max(0, m - n), min(m, n) + 1))
+            for m in range(2 * n + 1))
+        return abs(float(total / (2 * mpmath.mpf(p.alpha)) * mpmath.mpf(norm) ** 2) - 1.0)
+
+
+@pytest.mark.parametrize("name", ["H2", "LiH", "HCl", "CO"])
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_normalization_is_exact_against_mpmath(name, conv):
+    mol = get_molecule(name)
+    p = PotentialParams.from_molecule(mol)
+    for constants in (PAPER, PHYSICAL):
+        for n in range(9):
+            for l in range(6):
+                err = exact_norm_error(p, mol.mu, n, l, constants, conv)
+                assert err <= 1e-9, (constants.mode, n, l, err)
+
+
+def test_lih_weight_n8_normalizes():
+    # adaptive quadrature used to fail on this state with a QUADPACK warning
+    lih = get_molecule("LiH")
+    p = PotentialParams.from_molecule(lih)
+    assert exact_norm_error(p, lih.mu, 8, 0, PAPER, "weight") <= 1e-9
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_anchor_normalization_against_mpmath(conv):
+    # B = 0, l = 0: 2k + a + b reaches 0 or 2 in the weight and literal
+    # exponents, where scipy's eval_jacobi returns NaN or inf
+    for n in range(9):
+        assert exact_norm_error(ANCHOR, 1.0, n, 0, PAPER, conv) <= 1e-9
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_large_root_states_normalize_or_fail_loudly(conv):
+    for n in (0, 4):
+        assert exact_norm_error(LARGE_ROOT_P, LARGE_ROOT_MU, n, 0, PHYSICAL, conv) <= 1e-9
+        psi = wavefunction(np.linspace(0.01, 5.0, 50), LARGE_ROOT_P, LARGE_ROOT_MU, n, 0,
+                           PHYSICAL, convention=conv)
+        assert np.all(np.isfinite(psi))
+        with pytest.raises(ConvergenceError):
+            normalization_constant(HUGE_ROOT_P, HUGE_ROOT_MU, n, 0, PHYSICAL, conv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(v0=st.one_of(st.just(0.0), st.floats(3.0, 8.0)), a=st.floats(0.7, 1.6),
+       b=st.floats(1.1, 2.3), c=st.floats(1.4, 2.6), alpha=st.floats(0.2, 1.55),
+       mu=st.floats(0.5, 6.9), mode=st.sampled_from(("paper", "physical")),
+       conv=st.sampled_from(CONVENTIONS), n=st.integers(0, 8), l=st.integers(0, 5))
+def test_normalization_property_in_bound_region(v0, a, b, c, alpha, mu, mode, conv, n, l):
+    p = PotentialParams(v0=v0, a=a, b=b, c=c, alpha=alpha)
+    constants = for_mode(mode)
+    assume(energy(p, mu, n, l, constants).root >= 0.25)
+    try:
+        err = exact_norm_error(p, mu, n, l, constants, conv)
+    except HyiqpError as exc:
+        pytest.fail(f"bound state did not normalize: {exc}")
+    assert err <= 1e-9
 
 
 def test_ground_state_is_nodeless_and_positive():
@@ -59,7 +153,7 @@ def test_normalization_other_molecules():
 def test_slow_tail_state_still_normalizes():
     # the HCl ground state solves the quantization on the negative branch;
     # the principal-branch exponent decays over ~100 Angstrom scales but the
-    # quadrature must still converge
+    # state must still normalize
     hcl = get_molecule("HCl")
     p = PotentialParams.from_molecule(hcl, v0=0.0)
     norm = normalization_constant(p, hcl.mu, 0, 0, PAPER, "literal")
