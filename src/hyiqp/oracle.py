@@ -9,11 +9,16 @@ Two methods are provided.  ``solve_matrix`` builds the symmetric
 tridiagonal second-order central-difference Hamiltonian and extracts the
 lowest eigenpairs by bisection plus inverse iteration (LAPACK, via
 scipy.linalg.eigh_tridiagonal).  ``solve_numerov`` integrates outward and
-inward with the Numerov scheme and matches logarithmic derivatives at the
-outermost classical turning point, bisecting the mismatch to locate one
-eigenvalue inside a bracket.  Their disagreement measures pure
-discretization error; their agreement with the closed forms measures the
-surrogate approximation embedded there.
+inward with the Numerov scheme, each sweep solved as the lower-banded
+triangular system it is (LAPACK dtbtrs), and matches logarithmic
+derivatives at the outermost classical turning point, bisecting the
+mismatch to locate one eigenvalue inside a bracket.  The two methods'
+disagreement measures pure discretization error; their agreement with the
+closed forms measures the surrogate approximation embedded there.
+
+The mismatch also changes sign across its poles, where a branch vanishes
+at the matching point.  A bisection that closes on a pole raises
+ConvergenceError instead of returning it as a level.
 
 Deep Coulomb-like states are sensitive to the inner Dirichlet wall: the
 eigenvalue shift scales as (hbar^2/2mu) |u'(r_min)|^2 r_min, about 1.6e-3
@@ -157,23 +162,42 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     )
 
 
+def _numerov_sweep(w: np.ndarray) -> np.ndarray:
+    """Numerov solution on w's grid started from u[0] = 0, u[1] = 1e-12.
+
+    The recurrence w[i+1] u[i+1] - (12 - 10 w[i]) u[i] + w[i-1] u[i-1] = 0
+    is a lower-triangular system of bandwidth two; LAPACK dtbtrs solves it
+    by forward substitution without pivoting.  A zero pivot (some w[i] = 0)
+    raises instead of spreading inf/NaN.
+    """
+    from scipy.linalg.lapack import dtbtrs
+    m = w.size
+    ab = np.zeros((3, m))
+    ab[0, :2] = 1.0
+    ab[0, 2:] = w[2:]
+    ab[1, 1:-1] = 10.0 * w[1:-1] - 12.0
+    ab[2, :-2] = w[:-2]
+    b = np.zeros((m, 1))
+    b[1, 0] = 1e-12
+    u, info = dtbtrs(ab, b, uplo="L")
+    if info != 0:
+        raise ConvergenceError(
+            "Numerov sweep hit a zero pivot: w = 1 + h^2 g / 12 vanishes on the grid")
+    return u[:, 0]
+
+
 def _numerov_mismatch(g: np.ndarray, h: float, match: int):
     """Log-derivative mismatch at the match index for u'' + g u = 0.
 
-    Integrates outward to match+1 and inward to match-1 with the Numerov
+    Sweeps outward to match+1 and inward to match-1 with the Numerov
     three-point scheme and returns the difference of the centered
     logarithmic derivatives, plus both branches for state assembly.
     """
     w = 1.0 + (h * h / 12.0) * g
     n = g.size
-    uo = np.zeros(match + 2)
-    uo[1] = 1e-12
-    for i in range(1, match + 1):
-        uo[i + 1] = ((12.0 - 10.0 * w[i]) * uo[i] - w[i - 1] * uo[i - 1]) / w[i + 1]
+    uo = _numerov_sweep(w[: match + 2])
     ui = np.zeros(n)
-    ui[-2] = 1e-12
-    for i in range(n - 2, match - 1, -1):
-        ui[i - 1] = ((12.0 - 10.0 * w[i]) * ui[i] - w[i + 1] * ui[i + 1]) / w[i - 1]
+    ui[match - 1:] = _numerov_sweep(w[::-1][: n - match + 1])[::-1]
     if uo[match] == 0.0 or ui[match] == 0.0:
         raise ConvergenceError("Numerov solution vanished at the matching point")
     dlog_out = (uo[match + 1] - uo[match - 1]) / (2.0 * h * uo[match])
@@ -197,7 +221,10 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
 
     The bracket must straddle a sign change of the log-derivative mismatch;
     bisection narrows it to eig_tol (relative to the energy scale) with a
-    final secant polish.
+    final secant polish.  Each Numerov sweep is one LAPACK banded
+    triangular solve.  A sign change that is a pole of the mismatch, not a
+    root, raises ConvergenceError: the polished |mismatch| must not exceed
+    the smaller of its two starting values.
     """
     full, _interior, h = _interior_grid(cfg)
     h2m = hbar2_over_2mu(mu, constants)
@@ -218,6 +245,7 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
         raise ConvergenceError(
             f"no sign change of the matching mismatch in bracket ({lo:.9g}, {hi:.9g})"
         )
+    start_mismatch = min(abs(f_lo), abs(f_hi))
     tol = cfg.eig_tol * max(1.0, abs(lo), abs(hi))
     iterations = 0
     while hi - lo > tol:
@@ -236,6 +264,11 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     if not lo <= e_star <= hi:
         e_star = 0.5 * (lo + hi)
     f_star, uo, ui, match = mismatch(e_star)
+    if not abs(f_star) <= start_mismatch:
+        raise ConvergenceError(
+            f"bracket holds a pole of the matching function, not a level: "
+            f"|mismatch| grew from {start_mismatch:.3g} to {abs(f_star):.3g} "
+            f"near E={e_star:.9g}")
     u = _assemble(uo, ui, match, full.size)
     nodes = count_sign_changes(u[1:-1], threshold_ratio=NODE_THRESHOLD)
     return NumerovResult(energy=e_star, node_count=nodes,

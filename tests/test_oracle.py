@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hyiqp.constants import PAPER, get_molecule, hbar2_over_2mu
+from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
-from hyiqp.oracle import (NumerovResult, OracleConfig, default_config,
-                          expectation_numeric, solution_to_csv, solve_matrix,
-                          solve_numerov)
-from hyiqp.potential import PotentialParams
+from hyiqp.oracle import (NumerovResult, OracleConfig, _numerov_mismatch,
+                          _numerov_sweep, default_config, expectation_numeric,
+                          solution_to_csv, solve_matrix, solve_numerov)
+from hyiqp.potential import PotentialParams, effective_potential
 
 ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
 ANCHOR_CFG = OracleConfig(r_min=1e-7, r_max=1.1, n_points=20000)
@@ -113,6 +113,74 @@ def test_dual_method_gap_shrinks_at_second_order():
 def test_numerov_requires_sign_change():
     with pytest.raises(ConvergenceError):
         solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, (-5.0, -4.0), PAPER)
+
+
+def _recurrence_branches(g, h, match):
+    """Reference: the plain-Python Numerov recurrences the banded solves replaced."""
+    w = 1.0 + (h * h / 12.0) * g
+    n = g.size
+    uo = np.zeros(match + 2)
+    uo[1] = 1e-12
+    for i in range(1, match + 1):
+        uo[i + 1] = ((12.0 - 10.0 * w[i]) * uo[i] - w[i - 1] * uo[i - 1]) / w[i + 1]
+    ui = np.zeros(n)
+    ui[-2] = 1e-12
+    for i in range(n - 2, match - 1, -1):
+        ui[i - 1] = ((12.0 - 10.0 * w[i]) * ui[i] - w[i + 1] * ui[i + 1]) / w[i - 1]
+    return uo, ui
+
+
+_H2 = get_molecule("H2")
+SWEEP_CASES = [
+    pytest.param(ANCHOR, 0, 1.0, ANCHOR_CFG, PAPER, k, id=f"anchor-k{k}") for k in range(3)
+] + [
+    # a 4 A window: from the default 40 A the inward sweep overflows double range
+    pytest.param(PotentialParams.from_molecule(_H2, v0=5.0), 1, _H2.mu,
+                 OracleConfig(r_min=1e-4, r_max=4.0, n_points=20000), PHYSICAL, 0,
+                 id="H2-physical-l1-v0-5"),
+]
+
+
+@pytest.mark.parametrize("p, l, mu, cfg, constants, k", SWEEP_CASES)
+def test_banded_sweeps_match_the_recurrence(p, l, mu, cfg, constants, k):
+    e = solve_matrix(p, l, mu, cfg, k + 1, constants).eigenvalues[k]
+    full = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)
+    h = full[1] - full[0]
+    g = (e - effective_potential(full, p, l, mu, constants)) / hbar2_over_2mu(mu, constants)
+    match = int(np.nonzero(np.diff(np.sign(g)) != 0)[0][-1]) + 1
+    _val, uo, ui = _numerov_mismatch(g, h, match)
+    ref_o, ref_i = _recurrence_branches(g, h, match)
+    assert np.max(np.abs(uo - ref_o)) <= 1e-10 * np.max(np.abs(ref_o))
+    assert np.max(np.abs(ui - ref_i)) <= 1e-10 * np.max(np.abs(ref_i))
+
+
+def test_numerov_sweep_raises_on_a_zero_pivot():
+    w = np.ones(10)
+    w[5] = 0.0
+    with pytest.raises(ConvergenceError, match="zero pivot"):
+        _numerov_sweep(w)
+
+
+@pytest.fixture(scope="module")
+def anchor_levels():
+    return solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 3, PAPER).eigenvalues
+
+
+@pytest.mark.parametrize("lower, upper, pad", [(0, 1, 0.05), (0, 1, 1.0), (1, 2, 0.05)])
+def test_numerov_rejects_a_bracket_around_a_mismatch_pole(anchor_levels, lower, upper, pad):
+    # the mismatch changes sign between neighbouring levels without a root there
+    bracket = (anchor_levels[lower] + pad, anchor_levels[upper] - pad)
+    with pytest.raises(ConvergenceError, match="pole"):
+        solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, bracket, PAPER)
+
+
+# k = 0 and 1 at +-0.02 are covered by the two anchor tests above
+@pytest.mark.parametrize("k, pad", [(2, 0.02), (0, 0.1), (0, 5.0)])
+def test_numerov_converges_on_a_bracket_around_a_level(anchor_levels, k, pad):
+    e = anchor_levels[k]
+    res = solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, (e - pad, e + pad), PAPER)
+    assert res.node_count == k
+    assert abs(e - res.energy) / abs(res.energy) <= 1e-6
 
 
 def test_grid_convergence_order_is_two():
