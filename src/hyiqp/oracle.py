@@ -8,7 +8,11 @@ exponential-ratio surrogate anywhere) on a uniform grid with Dirichlet ends:
 Two methods are provided.  ``solve_matrix`` builds the symmetric
 tridiagonal second-order central-difference Hamiltonian and extracts the
 lowest eigenpairs by bisection plus inverse iteration (LAPACK, via
-scipy.linalg.eigh_tridiagonal).  ``solve_numerov`` integrates outward and
+scipy.linalg.eigh_tridiagonal).  When only bound states are wanted, an
+inertia screen runs first: if the LDL^T factorization (LAPACK dpttrf) of
+H - (C + delta) I succeeds, that matrix is positive definite, no level lies
+below the asymptote C, and the eigensolve, which would have dropped every
+level it found, is skipped.  ``solve_numerov`` integrates outward and
 inward with the Numerov scheme, each sweep solved as the lower-banded
 triangular system it is (LAPACK dtbtrs), and matches logarithmic
 derivatives at the outermost classical turning point, bisecting the
@@ -113,8 +117,21 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     States at or above the potential's asymptote C are box artifacts, not
     bound states; by default they are dropped with a diagnostic, and the
     bound subset (possibly empty) is returned.
+
+    When dropping them, one LDL^T factorization (LAPACK dpttrf) of
+    H - (C + delta) I comes first, delta = eig_tol max(1, |C|) + 8 eps ||H||.
+    It succeeds only if that matrix is positive definite, which by
+    Sylvester's law of inertia means no level lies below C + delta; the
+    eigensolve, which would drop every level it found, is then skipped and
+    the same empty solution returned.  The first term of delta covers the
+    bisection's tolerance, the second the rounding in which dpttrf's pivots
+    and the bisection's Sturm counts differ (measured up to 0.3 eps ||H||;
+    with eig_tol alone the screen dropped a level the eigensolve put 1e-10
+    below C).  A failed factorization stops at its first non-positive pivot,
+    and the eigensolve runs as before.
     """
     from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dpttrf
     if k_states < 1:
         raise DomainError("k_states must be at least 1")
     _full, r, h = _interior_grid(cfg)
@@ -124,19 +141,23 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     v_eff = effective_potential(r, p, l, mu, constants)
     diag = 2.0 * h2m / h**2 + v_eff
     off = np.full(r.size - 1, -h2m / h**2)
-    eigenvalues, vectors = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, k_states - 1), tol=cfg.eig_tol)
+    norm = np.max(np.abs(diag)) + 2.0 * h2m / h**2
+    shift = p.c + cfg.eig_tol * max(1.0, abs(p.c)) + 8.0 * np.finfo(float).eps * norm
+    if below_asymptote_only and dpttrf(diag - shift, off)[2] == 0:
+        eigenvalues, vectors = np.empty(0), None
+    else:
+        eigenvalues, vectors = eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, k_states - 1), tol=cfg.eig_tol)
 
     diagnostics = []
     keep = np.arange(k_states)
     if below_asymptote_only:
-        bound = eigenvalues < p.c
-        if not np.all(bound):
+        keep = np.nonzero(eigenvalues < p.c)[0]
+        if keep.size < k_states:
             diagnostics.append(
-                f"only {int(np.sum(bound))} of {k_states} requested states lie below "
+                f"only {keep.size} of {k_states} requested states lie below "
                 f"the asymptote C={p.c:.6g}; unbound box states dropped"
             )
-        keep = np.nonzero(bound)[0]
 
     vecs = []
     nodes = []
@@ -241,7 +262,12 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     lo, hi = float(min(e_bracket)), float(max(e_bracket))
     f_lo, *_ = mismatch(lo)
     f_hi, *_ = mismatch(hi)
-    if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0.0:
+    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
+        raise ConvergenceError(
+            f"Numerov sweep overflowed in bracket ({lo:.9g}, {hi:.9g}): the solution "
+            f"grows past double range across the forbidden tail; use a smaller r_max "
+            f"than {cfg.r_max:.6g}")
+    if f_lo * f_hi > 0.0:
         raise ConvergenceError(
             f"no sign change of the matching mismatch in bracket ({lo:.9g}, {hi:.9g})"
         )

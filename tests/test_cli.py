@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -199,3 +200,30 @@ def test_energy_imports_no_scipy_submodules():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# SHA-256 of stdout recorded before solve_matrix screened out unbound
+# spectra (numpy 2.4.6, scipy 1.17.1); the screen must not move a byte
+PINNED_STDOUT = [
+    pytest.param(("expect", "--molecule", "H2", "--observable", "r-2", "--mode", "paper",
+                  "--v0", "4.0", "--oracle"),
+                 "3c277e170712ed6f995abfd6ae5a0cd88d948581d2f2d42f1c07610bbcb08284",
+                 id="expect-H2-paper-v0-4"),
+    pytest.param(("expect", "--molecule", "H2", "--observable", "T", "--oracle"),
+                 "2f50fdc8302aedfc3b03c82a85e7e1a2e2b32162beccc02c864c9ad08de32c30",
+                 id="expect-H2-physical-unbound"),
+    pytest.param(("expect", "--molecule", "HCl", "--observable", "T", "--mode", "paper",
+                  "--v0", "4.0", "--oracle"),
+                 "a1c94eb1dd4080e605969749ec439e083808e18d16830d6c2e377d32a6958642",
+                 id="expect-HCl-paper-v0-4"),
+    pytest.param(("check", "all"),
+                 "676a59bdb5cefaa87f5bbdfe95b9fbf8a6176cbc5ab56bc6b446abc890e81b6b",
+                 id="check-all"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT)
+def test_oracle_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

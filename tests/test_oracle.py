@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
@@ -111,8 +114,19 @@ def test_dual_method_gap_shrinks_at_second_order():
 
 
 def test_numerov_requires_sign_change():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="no sign change"):
         solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, (-5.0, -4.0), PAPER)
+
+
+def test_numerov_names_an_overflowed_sweep():
+    # from the default 40 A window the inward sweep of this state grows past
+    # double range before the turning point: both bracket ends are NaN
+    h2 = get_molecule("H2")
+    p = PotentialParams.from_molecule(h2, v0=5.0)
+    cfg = default_config(h2.alpha)
+    e0 = solve_matrix(p, 1, h2.mu, cfg, 1, PHYSICAL).eigenvalues[0]
+    with pytest.raises(ConvergenceError, match="overflowed.*smaller r_max"):
+        solve_numerov(p, 1, h2.mu, cfg, (e0 - 0.02, e0 + 0.02), PHYSICAL)
 
 
 def _recurrence_branches(g, h, match):
@@ -253,3 +267,109 @@ def test_solution_csv_dump():
     assert float(lines[1].split(",")[0]) == pytest.approx(sol.grid[0], rel=1e-12)
     # dump is deterministic
     assert text == solution_to_csv(sol)
+
+
+def _unscreened(p, l, mu, cfg, k_states, constants):
+    """Reference: eigh_tridiagonal over all k_states levels, then the < C filter."""
+    sol = solve_matrix(p, l, mu, cfg, k_states, constants, below_asymptote_only=False)
+    keep = np.nonzero(sol.eigenvalues < p.c)[0]
+    sol.eigenvalues = sol.eigenvalues[keep]
+    sol.eigenvectors = sol.eigenvectors[keep]
+    sol.node_counts = [sol.node_counts[k] for k in keep]
+    if keep.size < k_states:
+        sol.diagnostics = [
+            f"only {keep.size} of {k_states} requested states lie below the asymptote "
+            f"C={p.c:.6g}; unbound box states dropped"]
+    return sol
+
+
+def _assert_screen_is_exact(p, l, mu, cfg, k_states, constants):
+    sol = solve_matrix(p, l, mu, cfg, k_states, constants)
+    ref = _unscreened(p, l, mu, cfg, k_states, constants)
+    assert np.array_equal(sol.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(sol.eigenvectors, ref.eigenvectors)
+    assert sol.node_counts == ref.node_counts
+    assert sol.diagnostics == ref.diagnostics
+    assert np.array_equal(sol.v_eff, ref.v_eff)
+
+
+MOLECULES = ("H2", "LiH", "HCl", "CO")
+
+
+# expect --oracle's spectra: k = 9, l <= 3, the default window and grid
+@pytest.mark.parametrize("constants", [PAPER, PHYSICAL], ids=["paper", "physical"])
+@pytest.mark.parametrize("name", MOLECULES)
+def test_screen_matches_the_unscreened_solve_on_the_molecules(name, constants):
+    mol = get_molecule(name)
+    cfg = default_config(mol.alpha)
+    for v0 in (0.0, 3.0, 5.719, 7.368, 8.0):
+        p = PotentialParams.from_molecule(mol, v0=v0)
+        for l in range(4):
+            _assert_screen_is_exact(p, l, mol.mu, cfg, 9, constants)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(v0=st.floats(0.0, 10.0), l=st.integers(0, 5), physical=st.booleans(),
+       name=st.sampled_from(MOLECULES))
+def test_screen_matches_the_unscreened_solve_everywhere(v0, l, physical, name):
+    mol = get_molecule(name)
+    p = PotentialParams.from_molecule(mol, v0=v0)
+    _assert_screen_is_exact(p, l, mol.mu, default_config(mol.alpha), 9,
+                            PHYSICAL if physical else PAPER)
+
+
+def _binding_threshold(make, l, mu, cfg, constants, lo, hi):
+    """V0 just either side of where the unscreened lowest level crosses C."""
+    def level_above_c(v0):
+        p = make(v0)
+        sol = solve_matrix(p, l, mu, cfg, 1, constants, below_asymptote_only=False)
+        return sol.eigenvalues[0] - p.c
+
+    assert level_above_c(lo) > 0.0 > level_above_c(hi)
+    while 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        if level_above_c(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(level_above_c(lo)) <= 1e-9 and abs(level_above_c(hi)) <= 1e-9
+    return lo, hi
+
+
+_LIH = get_molecule("LiH")
+THRESHOLD_CASES = [
+    # anchor-like well on a coarse grid, ||H|| ~ 7e6
+    pytest.param(lambda v0: PotentialParams(v0, 0.0, 0.0, 0.0, 0.05), 0, 1.0,
+                 OracleConfig(r_min=1e-7, r_max=1.1, n_points=2000), PAPER, 0.01, 2.0,
+                 id="anchor-like-2000"),
+    # LiH in paper mode has the largest ||H|| of the molecule grids, ~ 3e7
+    pytest.param(lambda v0: PotentialParams.from_molecule(_LIH, v0=v0), 0, _LIH.mu,
+                 default_config(_LIH.alpha), PAPER, 20.0, 40.0, id="LiH-paper-l0"),
+]
+
+
+@pytest.mark.parametrize("make, l, mu, cfg, constants, lo, hi", THRESHOLD_CASES)
+def test_screen_is_exact_at_the_binding_threshold(make, l, mu, cfg, constants, lo, hi):
+    # the unscreened level sits within 1e-9 of C on both sides; a screen
+    # shifted by eig_tol alone dropped the bound side's level here
+    for v0 in _binding_threshold(make, l, mu, cfg, constants, lo, hi):
+        _assert_screen_is_exact(make(v0), l, mu, cfg, 3, constants)
+
+
+def test_screen_skips_the_eigensolve_when_nothing_is_bound(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
+    h2 = get_molecule("H2")
+    p = PotentialParams.from_molecule(h2, v0=0.0)
+    sol = solve_matrix(p, 0, h2.mu, OracleConfig(), 2, PAPER)
+    assert sol.eigenvalues.shape == (0,)
+    assert sol.eigenvectors.shape == (0, sol.grid.size)
+    assert sol.node_counts == []
+    assert sol.diagnostics == [
+        f"only 0 of 2 requested states lie below the asymptote C={p.c:.6g}; "
+        "unbound box states dropped"]
+    # a bound spectrum still needs the eigensolve
+    with pytest.raises(AssertionError, match="eigh_tridiagonal called"):
+        solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 1, PAPER)
