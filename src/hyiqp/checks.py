@@ -2,14 +2,15 @@
 
 Each suite returns a list of named pass/fail results so the CLI can print
 one line per assertion and exit nonzero on the first failure.  The suites
-mirror the library's hard guarantees:
+are the library's hard guarantees, computed here and nowhere else (the
+acceptance tests assert on ``run_suite``):
 
 * reduction: zeroed parameter subsets reproduce the named limits exactly;
 * hft: closed-form derivatives agree with Richardson differences, and
   <p^2> = 2 mu <T> holds exactly on the finite-difference path;
-* nu: the quantization residual vanishes and the bound-state condition is
-  either satisfied or explicitly flagged; wave functions normalize and the
-  orthodox convention carries n nodes;
+* nu: the quantization residual vanishes and the bound-state condition
+  fails at exactly the documented cutoff states; wave functions normalize
+  and the orthodox convention carries n nodes;
 * oracle: grid calibration against closed-form boxes and the hydrogenic
   limit, dual-method agreement on the screened-well anchor, and a
   Hellmann-Feynman check done entirely numerically.
@@ -28,19 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PAPER, BUILTIN_MOLECULES, hbar2_over_2mu
+from .constants import PAPER, BUILTIN_MOLECULES, hbar2_over_2mu, mu_energy_units
 from .hft import (d_energy_d_param, kinetic_for_params, p2_for_params,
-                  mu_energy_units, r_m1_for_params, r_m2_for_params)
+                  r_m1_for_params)
 from .oracle import (OracleConfig, expectation_numeric, solve_matrix,
                      solve_numerov)
-from .potential import (PotentialParams, greene_aldrich_inv_r2, hulthen,
+from .potential import (PotentialParams, greene_aldrich_inv_r, hulthen,
                         inverse_quadratic, potential, yukawa)
 from .spectrum import (count_sign_changes, energy, energy_hulthen, energy_iqp,
-                       energy_yukawa, normalization_constant, nu_consistency,
-                       wavefunction)
+                       energy_yukawa, normalization_constant, wavefunction)
 
 SWEEP_N = range(5)
 SWEEP_L = range(5)
+
+# the construction's own bound-state condition tau' < 0 fails at exactly
+# these sweep states (its finite-bound-spectrum cutoff), in sweep order
+KNOWN_BOUND_CUTOFF = [("H2", 4, 0), ("H2", 4, 1), ("LiH", 4, 0), ("LiH", 4, 1)]
 
 ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
 ANCHOR_MU = 1.0
@@ -106,8 +110,6 @@ def check_reduction(constants=PAPER) -> list[CheckResult]:
     # e^(-2 a r)-numerator companion against the exact 1/r, deciding nothing
     alpha = 0.5
     rq = np.linspace(0.1, 1.0, 400) / alpha
-    from .potential import greene_aldrich_inv_r
-
     stated = np.max(np.abs(rq * greene_aldrich_inv_r(rq, alpha) - 1.0))
     companion = np.max(np.abs(
         rq * 2.0 * alpha * np.exp(-2 * alpha * rq) / (1 - np.exp(-2 * alpha * rq)) - 1.0))
@@ -171,17 +173,18 @@ def check_nu(constants=PAPER) -> list[CheckResult]:
         p = PotentialParams.from_molecule(mol)
         for n in SWEEP_N:
             for l in SWEEP_L:
-                nu = nu_consistency(p, mol.mu, n, l, constants)
-                worst_res = max(worst_res, nu.residual)
-                if not nu.bound_condition_ok:
-                    flagged.append(f"{mol.name}(n={n},l={l})")
+                res = energy(p, mol.mu, n, l, constants)
+                worst_res = max(worst_res, res.nu_residual)
+                if not res.bound_condition_ok:
+                    flagged.append((mol.name, n, l))
     results.append(_result("nu-quantization-residual", worst_res <= 1e-10,
                            f"worst |lambda - lambda_n|={worst_res:.2e} (tol 1e-10)"))
+    states = ", ".join(f"{name}(n={n},l={l})" for name, n, l in flagged)
     results.append(_result(
         "nu-bound-condition",
-        True,
+        flagged == KNOWN_BOUND_CUTOFF,
         ("tau' < 0 everywhere" if not flagged else
-         f"tau' >= 0 flagged (model's own bound cutoff) at: {', '.join(flagged)}"),
+         f"tau' >= 0 flagged (model's own bound cutoff) at: {states}"),
     ))
 
     norm_ok = True

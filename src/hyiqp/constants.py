@@ -75,6 +75,13 @@ def hbar2_over_2mu(mu: float, constants: PhysicalConstants) -> float:
     return constants.hbar_c**2 / (2.0 * mu * constants.amu_to_energy)
 
 
+def mu_energy_units(mu: float, constants: PhysicalConstants) -> float:
+    """Reduced mass in the units <p^2> = 2 mu <T> is formed with."""
+    if constants.mode == "paper":
+        return mu
+    return mu * constants.amu_to_energy
+
+
 @dataclass(frozen=True)
 class Molecule:
     """Spectroscopic constants of one diatomic species.

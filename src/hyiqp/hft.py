@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .constants import Molecule, PhysicalConstants, hbar2_over_2mu
+from .constants import Molecule, PhysicalConstants, hbar2_over_2mu, mu_energy_units
 from .errors import DomainError
+from .oracle import expectation_numeric
 from .potential import PotentialParams
 from .spectrum import _energy_pieces, energy_value
 
@@ -157,13 +158,6 @@ def kinetic_for_params(p: PotentialParams, mu: float, n: int, l: int,
                            machine_derivative=-mu * d.finite_difference)
 
 
-def mu_energy_units(mu: float, constants: PhysicalConstants) -> float:
-    """Reduced mass in the units <p^2> = 2 mu <T> is formed with."""
-    if constants.mode == "paper":
-        return mu
-    return mu * constants.amu_to_energy
-
-
 def p2_for_params(p: PotentialParams, mu: float, n: int, l: int,
                   constants: PhysicalConstants) -> ObservableValue:
     """<p^2> = 2 mu <T>, exact per path by construction."""
@@ -286,8 +280,6 @@ def expectation_report(molecule: Molecule, observable: str, n_max: int = 8,
         raise DomainError("constants mode must be given explicitly")
     if n_max > 12 or l_max > 12:
         raise DomainError("report grids are limited to n_max, l_max <= 12")
-    from .oracle import expectation_numeric  # local import avoids cycle at module load
-
     oracle_obs = {"r-2": "r_m2", "r-1": "r_m1_screened", "T": "kinetic", "p2": "p2"}
     p = PotentialParams.from_molecule(molecule, v0=v0)
     rows = []

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import PAPER, PhysicalConstants, hbar2_over_2mu
+from .constants import PAPER, PhysicalConstants, hbar2_over_2mu, mu_energy_units
 from .errors import ConvergenceError, DomainError
 from .potential import PotentialParams, effective_potential
 from .spectrum import count_sign_changes
@@ -53,7 +53,6 @@ class OracleConfig:
     r_min: float = 1e-4
     r_max: float = 40.0
     n_points: int = 20000
-    method: str = "matrix"
     eig_tol: float = 1e-10
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class OracleConfig:
             raise DomainError("n_points must be at least 1000")
         if self.eig_tol > 1e-8:
             raise DomainError("eig_tol must be at most 1e-8")
-        if self.method not in ("matrix", "numerov"):
-            raise DomainError(f"unknown method {self.method!r}")
 
 
 def default_config(alpha: float, n_points: int = 20000) -> OracleConfig:
@@ -333,8 +330,7 @@ def expectation_numeric(sol: RadialGridSolution, state: int, observable: str) ->
         kinetic = float(sol.eigenvalues[state] - mean_v)
         if observable == "kinetic":
             return kinetic
-        mu_e = sol.mu if sol.constants.mode == "paper" else sol.mu * sol.constants.amu_to_energy
-        return 2.0 * mu_e * kinetic
+        return 2.0 * mu_energy_units(sol.mu, sol.constants) * kinetic
     raise DomainError(
         f"unknown numeric observable {observable!r}; "
         "choose r_m2, r_m1_screened, kinetic or p2")

@@ -1,202 +1,76 @@
 """Acceptance suite: every hard guarantee at its stated tolerance.
 
-Each criterion prints one PASS line (visible under ``pytest -s`` or in the
-captured output); a failure raises with the measured numbers.  Criteria that
-compare against the bundled reference tables only document deviations,
-because several reference entries are physically impossible; the hard
-assertions rest on self-consistent mathematics and the grid oracle.
+The guarantees are the ``hyiqp check`` suites in ``hyiqp.checks``; this
+module only drives them.  Each suite runs once per module, must report
+exactly its named checks in order, and must finish inside its wall-clock
+budget; each named check is one test that prints a PASS line with its
+measured detail (visible under ``pytest -v -s``).  Table regeneration has
+no check suite and stays a criterion of its own.
 """
 
-import math
 import time
 
-import numpy as np
+import pytest
 
-from hyiqp.constants import PAPER, BUILTIN_MOLECULES, hbar2_over_2mu
-from hyiqp.hft import d_energy_d_param, kinetic_for_params, p2_for_params
-from hyiqp.oracle import (OracleConfig, expectation_numeric, solve_matrix,
-                          solve_numerov)
-from hyiqp.potential import PotentialParams
-from hyiqp.spectrum import (count_sign_changes, energy, energy_hulthen,
-                            energy_iqp, energy_yukawa, wavefunction)
-from hyiqp.tables import figure_wavefunction_data, load_fixture, regenerate_table
+from hyiqp import checks
+from hyiqp.constants import PAPER
+from hyiqp.tables import load_fixture, regenerate_table
 
-MOLECULES = [BUILTIN_MOLECULES[k] for k in ("h2", "lih", "hcl", "co")]
-ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
-ANCHOR_CFG = OracleConfig(r_min=1e-7, r_max=1.1, n_points=20000)
-
-# the construction's own bound-state condition tau' < 0 fails at exactly
-# these sweep states (its finite-bound-spectrum cutoff); they must be
-# flagged as diagnostics, and tau' < 0 must hold everywhere else
-KNOWN_BOUND_CUTOFF = {("H2", 4, 0), ("H2", 4, 1), ("LiH", 4, 0), ("LiH", 4, 1)}
-
-
-def report(criterion, detail):
-    print(f"PASS {criterion}: {detail}")
-
-
-def test_criterion_1_hft_identity_sweep():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for mol in MOLECULES:
-        p = PotentialParams.from_molecule(mol, v0=0.0)
-        for n in range(5):
-            for l in range(5):
-                for which in ("l", "A", "mu"):
-                    gap = d_energy_d_param(p, mol.mu, n, l, which, PAPER).rel_gap
-                    worst = max(worst, gap)
-                    assert gap <= 1e-6, (mol.name, n, l, which, gap)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 5.0, f"HFT sweep took {elapsed:.2f}s (budget 5s)"
-    report("criterion 1 (HFT identity sweep)",
-           f"worst rel gap {worst:.2e} <= 1e-6, {elapsed:.2f}s < 5s")
+# suite -> (wall-clock budget in seconds or None, check names in run order)
+SUITES = {
+    "reduction": (1.0, [
+        "potential-limit-hulthen", "potential-limit-yukawa",
+        "potential-limit-inverse-quadratic", "energy-reduction-closure",
+        "perfect-square-identity", "collapsed-energy", "inv-r-surrogate-quantified",
+    ]),
+    "hft": (5.0, [
+        "hft-derivative-agreement", "p2-equals-2muT-exact", "r_m1-is-minus-dEdA",
+        "r_m2-association-invariance",
+    ]),
+    "nu": (None, [
+        "nu-quantization-residual", "nu-bound-condition",
+        "wavefunction-normalization", "orthodox-node-counts",
+    ]),
+    "oracle": (30.0, [
+        "box-calibration", "grid-convergence-order", "hydrogenic-limit",
+        "anchor-analytic-vs-matrix", "anchor-matrix-vs-numerov", "anchor-numerov-nodes",
+        "anchor-node-counts", "numeric-hft-independence", "numeric-positivity",
+        "unbound-molecule-diagnostic",
+    ]),
+}
 
 
-def test_criterion_2_reduction_suite():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for mol in MOLECULES:
-        for n in range(6):
-            for l in range(6):
-                pairs = (
-                    (energy_hulthen(2.0, mol.alpha, mol.mu, n, l, PAPER),
-                     energy(PotentialParams(2.0, 0.0, 0.0, 0.0, mol.alpha),
-                            mol.mu, n, l, PAPER).energy),
-                    (energy_yukawa(mol.a, mol.alpha, mol.mu, n, l, PAPER),
-                     energy(PotentialParams(0.0, mol.a, 0.0, 0.0, mol.alpha),
-                            mol.mu, n, l, PAPER).energy),
-                    (energy_iqp(mol.b, mol.alpha, mol.mu, n, l, PAPER),
-                     energy(PotentialParams(0.0, 0.0, mol.b, 0.0, mol.alpha),
-                            mol.mu, n, l, PAPER).energy),
-                )
-                for lim, full in pairs:
-                    dev = abs(lim - full) / max(1.0, abs(full))
-                    worst = max(worst, dev)
-                    assert dev <= 1e-12, (mol.name, n, l, lim, full)
-    for l in range(21):
-        assert math.sqrt(4 * l * (l + 1) + 1) == 2 * l + 1
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0, f"reduction suite took {elapsed:.2f}s (budget 1s)"
-    report("criterion 2 (reduction suite)",
-           f"worst rel dev {worst:.2e} <= 1e-12, perfect squares exact to l=20, "
-           f"{elapsed:.2f}s < 1s")
+@pytest.fixture(scope="module")
+def suite_run():
+    """Run each suite at most once: suite name -> (results, elapsed seconds)."""
+    runs = {}
+
+    def run(suite):
+        if suite not in runs:
+            t0 = time.perf_counter()
+            results = checks.run_suite(suite, PAPER)
+            runs[suite] = (results, time.perf_counter() - t0)
+        return runs[suite]
+
+    return run
 
 
-def test_criterion_3_nu_consistency():
-    worst = 0.0
-    flagged = set()
-    for mol in MOLECULES:
-        p = PotentialParams.from_molecule(mol, v0=0.0)
-        for n in range(5):
-            for l in range(5):
-                res = energy(p, mol.mu, n, l, PAPER)
-                worst = max(worst, res.nu_residual)
-                assert res.nu_residual <= 1e-10, (mol.name, n, l, res.nu_residual)
-                if res.tau_slope < 0.0:
-                    assert res.bound_condition_ok
-                else:
-                    assert not res.bound_condition_ok
-                    flagged.add((mol.name, n, l))
-    # tau' < 0 wherever the construction admits a bound state; the four
-    # cutoff states must be exactly the documented ones and carry the flag
-    assert flagged == KNOWN_BOUND_CUTOFF, flagged
-    report("criterion 3 (NU consistency)",
-           f"worst residual {worst:.2e} <= 1e-10; tau' < 0 on all states except "
-           f"the documented bound-spectrum cutoff {sorted(flagged)}, each flagged")
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_reports_its_checks_within_budget(suite_run, suite):
+    budget, names = SUITES[suite]
+    results, elapsed = suite_run(suite)
+    assert [r.name for r in results] == names
+    if budget is not None:
+        assert elapsed < budget, f"{suite} suite took {elapsed:.2f}s (budget {budget:g}s)"
 
 
-def test_criterion_4_oracle_exactness_anchor():
-    t0 = time.perf_counter()
-    e_exact = energy_hulthen(2.0, 0.05, 1.0, 0, 0, PAPER)
-    sol = solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 3, PAPER)
-    rel_matrix = abs(sol.eigenvalues[0] - e_exact) / abs(e_exact)
-    assert rel_matrix <= 1e-4, rel_matrix
-    bracket = (sol.eigenvalues[0] - 0.02, sol.eigenvalues[0] + 0.02)
-    num = solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, bracket, PAPER)
-    rel_dual = abs(sol.eigenvalues[0] - num.energy) / abs(num.energy)
-    assert rel_dual <= 1e-6, rel_dual
-    assert sol.node_counts == [0, 1, 2]
-    assert num.node_count == 0
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0, f"anchor run took {elapsed:.2f}s (budget 30s)"
-    report("criterion 4 (oracle exactness anchor)",
-           f"analytic-vs-matrix {rel_matrix:.2e} <= 1e-4, matrix-vs-numerov "
-           f"{rel_dual:.2e} <= 1e-6, node_counts [0,1,2], {elapsed:.1f}s < 30s "
-           f"at {ANCHOR_CFG.n_points} points")
-
-
-def test_criterion_5_oracle_calibration():
-    box = PotentialParams(v0=0.0, a=0.0, b=0.0, c=0.0, alpha=1.0)
-    cfg = OracleConfig(r_min=1e-9, r_max=1.0, n_points=20000)
-    sol = solve_matrix(box, 0, 1.0, cfg, 5, PAPER, below_asymptote_only=False)
-    worst = 0.0
-    for k in range(5):
-        exact = hbar2_over_2mu(1.0, PAPER) * ((k + 1) * math.pi) ** 2
-        rel = abs(sol.eigenvalues[k] - exact) / exact
-        worst = max(worst, rel)
-        assert rel <= 1e-3, (k, rel)
-    es = []
-    for n_points in (2500, 5000, 10000):
-        c = OracleConfig(r_min=1e-7, r_max=1.1, n_points=n_points)
-        es.append(solve_matrix(ANCHOR, 0, 1.0, c, 1, PAPER).eigenvalues[0])
-    order = math.log2(abs((es[0] - es[1]) / (es[1] - es[2])))
-    assert 1.8 <= order <= 2.2, order
-    report("criterion 5 (oracle calibration)",
-           f"box worst rel {worst:.2e} <= 1e-3 for k<=5; observed convergence "
-           f"order {order:.3f} in [1.8, 2.2]")
-
-
-def test_criterion_6_numeric_hft_independence():
-    # everything on the grid: quadrature of the screened moment against a
-    # finite difference of the matrix eigenvalue; the closed-form energy
-    # never enters
-    sol = solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 1, PAPER)
-    h_a = 1e-4
-    plus = solve_matrix(PotentialParams(2.0, +h_a, 0.0, 0.0, 0.05), 0, 1.0,
-                        ANCHOR_CFG, 1, PAPER)
-    minus = solve_matrix(PotentialParams(2.0, -h_a, 0.0, 0.0, 0.05), 0, 1.0,
-                         ANCHOR_CFG, 1, PAPER)
-    de_da = (plus.eigenvalues[0] - minus.eigenvalues[0]) / (2 * h_a)
-    screened = expectation_numeric(sol, 0, "r_m1_screened")
-    rel = abs(screened + de_da) / abs(screened)
-    assert rel <= 1e-3, rel
-    report("criterion 6 (numeric HFT independence)",
-           f"<e^-ar/r> vs -dE/dA rel {rel:.2e} <= 1e-3")
-
-
-def test_criterion_7_wavefunction_contract():
-    # normalization within 1e-6, checked by independent trapezoid re-integration
-    h2 = BUILTIN_MOLECULES["h2"]
-    p_h2 = PotentialParams.from_molecule(h2, v0=0.0)
-    worst_norm = 0.0
-    for conv in ("literal", "orthodox"):
-        for n, l in ((0, 0), (2, 1), (4, 0)):
-            r = np.linspace(1e-6, 250.0, 400001)
-            psi = wavefunction(r, p_h2, h2.mu, n, l, PAPER, normalized=True,
-                               convention=conv)
-            total = np.trapezoid(psi * psi, r)
-            worst_norm = max(worst_norm, abs(total - 1.0))
-            assert abs(total - 1.0) <= 1e-6, (conv, n, l, total)
-
-    # n sign changes for n <= 4 (orthodox construction; the literal
-    # exponents carry no nodal structure, see the nu suite and ledger)
-    r_h2 = np.linspace(1e-3, 40.0, 40001)
-    r_anchor = np.linspace(1e-4, 3.0, 120001)
-    for n in range(5):
-        psi = wavefunction(r_h2, p_h2, h2.mu, n, 0, PAPER, normalized=False,
-                           convention="orthodox")
-        assert count_sign_changes(psi) == n
-        psi = wavefunction(r_anchor, ANCHOR, 1.0, n, 0, PAPER, normalized=False,
-                           convention="orthodox")
-        assert count_sign_changes(psi) == n
-
-    # figure data emission runs for every wave-function figure, l = 0..5
-    for figure_id in range(3, 10):
-        columns, rows, meta = figure_wavefunction_data(figure_id, PAPER, n_points=48)
-        assert len(rows) > 0
-    report("criterion 7 (wave-function contract)",
-           f"worst |norm - 1| {worst_norm:.2e} <= 1e-6; n sign changes for "
-           "n <= 4 (orthodox); figures 3-9 emitted for l = 0..5")
+@pytest.mark.parametrize("suite, name",
+                         [(suite, name) for suite, (_, names) in SUITES.items()
+                          for name in names])
+def test_check(suite_run, suite, name):
+    result = {r.name: r for r in suite_run(suite)[0]}[name]
+    assert result.ok, result.detail
+    print(f"PASS {suite}/{name}: {result.detail}")
 
 
 def test_criterion_8_table_regeneration():
@@ -221,18 +95,5 @@ def test_criterion_8_table_regeneration():
         assert regenerate_table(tid, PAPER) == first[tid]
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"table regeneration took {elapsed:.2f}s (budget 10s)"
-    report("criterion 8 (table regeneration)",
-           f"14 tables, fixture spot values verified, deterministic, "
-           f"{elapsed:.2f}s < 10s")
-
-
-def test_criterion_9_p2_relation_exact():
-    for mol in MOLECULES:
-        p = PotentialParams.from_molecule(mol, v0=0.0)
-        for n in range(5):
-            for l in range(5):
-                kin = kinetic_for_params(p, mol.mu, n, l, PAPER)
-                p2 = p2_for_params(p, mol.mu, n, l, PAPER)
-                assert p2.machine_derivative == 2.0 * mol.mu * kin.machine_derivative
-    report("criterion 9 (p2 = 2 mu T)",
-           "exact (bitwise) on the machine-derivative path across the full sweep")
+    print(f"PASS criterion 8 (table regeneration): 14 tables, fixture spot values "
+          f"verified, deterministic, {elapsed:.2f}s < 10s")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -160,6 +161,31 @@ def test_check_failure_exits_one(capsys, monkeypatch):
     assert code == EXIT_CHECK_FAILED
     assert "FAIL - injected-failure" in out
     assert "FAILED: injected-failure" in out
+
+
+def test_bound_condition_check_fails_when_every_state_is_flagged(monkeypatch):
+    from hyiqp import checks
+
+    real = checks.energy
+    monkeypatch.setattr(checks, "energy", lambda *args: dataclasses.replace(
+        real(*args), bound_condition_ok=False))
+    result = {r.name: r for r in checks.check_nu()}["nu-bound-condition"]
+    assert not result.ok
+
+
+def test_quantization_residual_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import spectrum
+
+    real = spectrum._lambda_pair
+
+    def off_by_1e6(*args):
+        lam, lam_n = real(*args)
+        return lam + 1e-6, lam_n
+
+    monkeypatch.setattr(spectrum, "_lambda_pair", off_by_1e6)
+    code, out, _ = run(capsys, "check", "nu")
+    assert code == EXIT_CHECK_FAILED
+    assert "FAIL - nu-quantization-residual" in out
 
 
 def test_molecules_listing_and_env_registry(tmp_path, capsys, monkeypatch):

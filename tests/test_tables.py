@@ -132,12 +132,14 @@ def test_figure2_overlays_limits():
     assert np.allclose(f, f1 + f2 + f3 + p.c, rtol=1e-14, atol=1e-14)
 
 
-def test_figure_wavefunction_fixed_l():
-    columns, rows, meta = figure_wavefunction_data(3, PAPER, n_points=64)
+# figures 3-8 hold l = 0..5 fixed; figure 9 sweeps l (next test)
+@pytest.mark.parametrize("figure_id", range(3, 9))
+def test_figure_wavefunction_fixed_l(figure_id):
+    columns, rows, meta = figure_wavefunction_data(figure_id, PAPER, n_points=64)
     assert columns == ("molecule", "l", "n", "r", "psi", "density")
     mols = [row[0] for row in rows[:: 64]]
     assert mols == ["H2", "LiH", "HCl", "CO"]
-    assert all(row[1] == 0 for row in rows)
+    assert all(row[1] == figure_id - 3 for row in rows)
     assert all(row[5] >= 0.0 for row in rows)
 
 
