@@ -4,8 +4,9 @@ The guarantees are the ``hyiqp check`` suites in ``hyiqp.checks``; this
 module only drives them.  Each suite runs once per module, must report
 exactly its named checks in order, and must finish inside its wall-clock
 budget; each named check is one test that prints a PASS line with its
-measured detail (visible under ``pytest -v -s``).  Table regeneration has
-no check suite and stays a criterion of its own.
+measured detail (visible under ``pytest -v -s``).  The numbered criteria
+below name the checks that carry them; table regeneration has no check
+suite and stays a criterion of its own.
 """
 
 import time
@@ -71,6 +72,32 @@ def test_check(suite_run, suite, name):
     result = {r.name: r for r in suite_run(suite)[0]}[name]
     assert result.ok, result.detail
     print(f"PASS {suite}/{name}: {result.detail}")
+
+
+def assert_checks_pass(suite_run, suite, names):
+    results = {r.name: r for r in suite_run(suite)[0]}
+    for name in names:
+        assert results[name].ok, (name, results[name].detail)
+
+
+def test_criterion_2_reduction_suite(suite_run):
+    assert_checks_pass(suite_run, "reduction",
+                       ["energy-reduction-closure", "perfect-square-identity"])
+
+
+def test_criterion_3_nu_consistency(suite_run):
+    assert_checks_pass(suite_run, "nu",
+                       ["nu-quantization-residual", "nu-bound-condition"])
+
+
+def test_criterion_4_oracle_exactness_anchor(suite_run):
+    assert_checks_pass(suite_run, "oracle",
+                       ["anchor-analytic-vs-matrix", "anchor-matrix-vs-numerov",
+                        "anchor-numerov-nodes", "anchor-node-counts"])
+
+
+def test_criterion_6_numeric_hft_independence(suite_run):
+    assert_checks_pass(suite_run, "oracle", ["numeric-hft-independence"])
 
 
 def test_criterion_8_table_regeneration():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
-from hyiqp.oracle import (OracleConfig, _numerov_mismatch, _numerov_sweep,
-                          default_config, expectation_numeric, solution_to_csv,
-                          solve_matrix, solve_numerov)
+from hyiqp.oracle import (NumerovResult, OracleConfig, _numerov_mismatch,
+                          _numerov_sweep, default_config, expectation_numeric,
+                          solution_to_csv, solve_matrix, solve_numerov)
 from hyiqp.potential import PotentialParams, effective_potential
 
 ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
@@ -71,6 +71,15 @@ def test_anchor_eigenvectors_are_normalized():
     sol = solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 3, PAPER)
     for u in sol.eigenvectors:
         assert np.trapezoid(u * u, sol.grid) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_numerov_agrees_with_matrix_on_anchor():
+    sol = solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 1, PAPER)
+    e0 = sol.eigenvalues[0]
+    res = solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, (e0 - 0.02, e0 + 0.02), PAPER)
+    assert isinstance(res, NumerovResult)
+    assert abs(e0 - res.energy) / abs(res.energy) <= 1e-6
+    assert res.node_count == 0
 
 
 def test_numerov_excited_state_node_count():
@@ -169,14 +178,27 @@ def test_numerov_rejects_a_bracket_around_a_mismatch_pole(anchor_levels, lower, 
         solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, bracket, PAPER)
 
 
-# k = 0 at +-0.02 is the oracle check suite's anchor-matrix-vs-numerov,
-# k = 1 at +-0.02 the excited-state test above
+# k = 0 and 1 at +-0.02 are covered by the two anchor tests above
 @pytest.mark.parametrize("k, pad", [(2, 0.02), (0, 0.1), (0, 5.0)])
 def test_numerov_converges_on_a_bracket_around_a_level(anchor_levels, k, pad):
     e = anchor_levels[k]
     res = solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, (e - pad, e + pad), PAPER)
     assert res.node_count == k
     assert abs(e - res.energy) / abs(res.energy) <= 1e-6
+
+
+def test_numeric_hft_independence():
+    # quadrature of the screened moment vs a finite difference of the
+    # matrix eigenvalue under an A-perturbation; no closed form anywhere
+    sol = solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 1, PAPER)
+    h_a = 1e-4
+    plus = solve_matrix(PotentialParams(2.0, +h_a, 0.0, 0.0, 0.05), 0, 1.0,
+                        ANCHOR_CFG, 1, PAPER)
+    minus = solve_matrix(PotentialParams(2.0, -h_a, 0.0, 0.0, 0.05), 0, 1.0,
+                         ANCHOR_CFG, 1, PAPER)
+    de_da = (plus.eigenvalues[0] - minus.eigenvalues[0]) / (2 * h_a)
+    screened = expectation_numeric(sol, 0, "r_m1_screened")
+    assert abs(screened + de_da) / abs(screened) <= 1e-3
 
 
 def test_numeric_observables_positive_and_consistent():

@@ -7,7 +7,8 @@ from hyiqp.constants import PAPER, PHYSICAL, BUILTIN_MOLECULES, get_molecule, hb
 from hyiqp.errors import DomainError, UnsupportedRegimeError
 from hyiqp.potential import PotentialParams
 from hyiqp.spectrum import (dimensionless_params, energy, energy_hulthen,
-                            energy_iqp, energy_value, nu_consistency)
+                            energy_iqp, energy_value, energy_yukawa,
+                            nu_consistency)
 
 H2 = get_molecule("H2")
 MOLECULES = [BUILTIN_MOLECULES[k] for k in ("h2", "lih", "hcl", "co")]
@@ -47,6 +48,28 @@ def test_hulthen_matches_textbook_screened_well():
             expected = -(1.0 / (2 * mu)) * (mu * v0 / (delta * m) - delta * m / 2) ** 2
             got = energy_hulthen(v0, alpha, mu, n, 0, PAPER)
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_reduction_closure_all_molecules():
+    # the independently coded limit arrangements agree with the zeroed
+    # generic form to 1e-12 relative for n, l <= 5
+    for mol in MOLECULES:
+        for n in range(6):
+            for l in range(6):
+                full = energy(PotentialParams(2.0, 0.0, 0.0, 0.0, mol.alpha),
+                              mol.mu, n, l, PAPER).energy
+                lim = energy_hulthen(2.0, mol.alpha, mol.mu, n, l, PAPER)
+                assert lim == pytest.approx(full, rel=1e-12, abs=1e-12)
+
+                full = energy(PotentialParams(0.0, mol.a, 0.0, 0.0, mol.alpha),
+                              mol.mu, n, l, PAPER).energy
+                lim = energy_yukawa(mol.a, mol.alpha, mol.mu, n, l, PAPER)
+                assert lim == pytest.approx(full, rel=1e-12, abs=1e-12)
+
+                full = energy(PotentialParams(0.0, 0.0, mol.b, 0.0, mol.alpha),
+                              mol.mu, n, l, PAPER).energy
+                lim = energy_iqp(mol.b, mol.alpha, mol.mu, n, l, PAPER)
+                assert lim == pytest.approx(full, rel=1e-12, abs=1e-12)
 
 
 def test_energy_iqp_golden_hand_value():
@@ -118,6 +141,20 @@ def test_nu_intermediates_structure():
     assert nu.pi_intercept == pytest.approx(nu.root, rel=1e-15)
     assert nu.tau_slope == pytest.approx(-2 - 2 * (0.5 * energy(p, H2.mu, 2, 1, PAPER).gamma - nu.root), rel=1e-12)
     assert nu.bound_condition_ok
+
+
+def test_bound_condition_flags_model_cutoff_states():
+    # tau' >= 0 at exactly these sweep states: the construction's own
+    # finite-bound-spectrum cutoff, surfaced as a diagnostic (not an error)
+    flagged = []
+    for mol in MOLECULES:
+        p = PotentialParams.from_molecule(mol, v0=0.0)
+        for n in range(5):
+            for l in range(5):
+                res = energy(p, mol.mu, n, l, PAPER)
+                if not res.bound_condition_ok:
+                    flagged.append((mol.name, n, l))
+    assert flagged == [("H2", 4, 0), ("H2", 4, 1), ("LiH", 4, 0), ("LiH", 4, 1)]
 
 
 def test_negative_branch_is_diagnosed_not_hidden():
