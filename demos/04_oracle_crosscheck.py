@@ -27,7 +27,7 @@ for n in range(3):
 
 e0 = sol.eigenvalues[0]
 num = solve_numerov(anchor, 0, 1.0, cfg, (e0 - 0.02, e0 + 0.02), PAPER)
-print(f"  Numerov match: {num.energy:.9f} after {num.iterations} bisections; "
+print(f"  Numerov by node count: {num.energy:.9f} after {num.iterations} bisections; "
       f"matrix-vs-numerov rel {(e0 - num.energy) / abs(num.energy):+.2e}")
 
 print()

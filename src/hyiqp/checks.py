@@ -272,7 +272,9 @@ def check_oracle(constants=PAPER) -> list[CheckResult]:
     results.append(_result("anchor-analytic-vs-matrix", rel_matrix <= 1e-4,
                            f"rel={rel_matrix:.2e} (tol 1e-4)"))
 
-    bracket = (sol_a.eigenvalues[0] - 0.02, sol_a.eigenvalues[0] + 0.02)
+    # bracketed halfway to the exact neighbouring levels, not by the matrix
+    e_next = energy_hulthen(2.0, 0.05, 1.0, 1, 0, PAPER)
+    bracket = ((3.0 * e_exact - e_next) / 2.0, (e_exact + e_next) / 2.0)
     num = solve_numerov(ANCHOR, 0, ANCHOR_MU, ANCHOR_CFG, bracket, constants)
     rel_dual = abs(sol_a.eigenvalues[0] - num.energy) / abs(num.energy)
     results.append(_result("anchor-matrix-vs-numerov", rel_dual <= 1e-6,

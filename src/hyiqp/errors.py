@@ -36,5 +36,6 @@ class UnknownMoleculeError(HyiqpError, KeyError):
 
 
 class ConvergenceError(HyiqpError, RuntimeError):
-    """A numerical result could not be formed: Numerov matching or a quantization
-    audit failed, or a state's normalization constant leaves double range."""
+    """A numerical result could not be formed: a Numerov bracket does not hold
+    exactly one level, a quantization audit failed, or a state's
+    normalization constant leaves double range."""

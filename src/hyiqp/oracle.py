@@ -12,17 +12,14 @@ scipy.linalg.eigh_tridiagonal).  When only bound states are wanted, an
 inertia screen runs first: if the LDL^T factorization (LAPACK dpttrf) of
 H - (C + delta) I succeeds, that matrix is positive definite, no level lies
 below the asymptote C, and the eigensolve, which would have dropped every
-level it found, is skipped.  ``solve_numerov`` integrates outward and
-inward with the Numerov scheme, each sweep solved as the lower-banded
-triangular system it is (LAPACK dtbtrs), and matches logarithmic
-derivatives at the outermost classical turning point, bisecting the
-mismatch to locate one eigenvalue inside a bracket.  The two methods'
-disagreement measures pure discretization error; their agreement with the
-closed forms measures the surrogate approximation embedded there.
-
-The mismatch also changes sign across its poles, where a branch vanishes
-at the matching point.  A bisection that closes on a pole raises
-ConvergenceError instead of returning it as a level.
+level it found, is skipped.  ``solve_numerov`` bisects the node count of
+one outward Numerov sweep, which counts the levels below an energy and has
+no poles (the shooting form of Sturm oscillation; Johnson, J. Chem. Phys.
+67, 4086 (1977)).  The sweep is a chain of LAPACK banded triangular solves
+(dtbtrs), rescaled between blocks, from the last grid point next to r_min
+that does not resolve the barrier.  The two methods' disagreement measures
+pure discretization error; their agreement with the closed forms measures
+the surrogate approximation embedded there.
 
 Deep Coulomb-like states are sensitive to the inner Dirichlet wall: the
 eigenvalue shift scales as (hbar^2/2mu) |u'(r_min)|^2 r_min, about 1.6e-3
@@ -93,12 +90,11 @@ class RadialGridSolution:
 
 @dataclass(frozen=True)
 class NumerovResult:
-    """Matched eigenvalue from the two-sided Numerov integration."""
+    """One Numerov eigenvalue and the number of levels below it."""
 
     energy: float
     node_count: int
     iterations: int
-    mismatch: float
 
 
 def _interior_grid(cfg: OracleConfig):
@@ -180,122 +176,96 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     )
 
 
-def _numerov_sweep(w: np.ndarray) -> np.ndarray:
-    """Numerov solution on w's grid started from u[0] = 0, u[1] = 1e-12.
+def _numerov_sweep(d: np.ndarray, ends) -> np.ndarray:
+    """Outward solution of y[k+2] = d[k] y[k+1] - y[k] from y[0] = 0, y[1] = 1.
 
-    The recurrence w[i+1] u[i+1] - (12 - 10 w[i]) u[i] + w[i-1] u[i-1] = 0
-    is a lower-triangular system of bandwidth two; LAPACK dtbtrs solves it
-    by forward substitution without pivoting.  A zero pivot (some w[i] = 0)
-    raises instead of spreading inf/NaN.
+    Block i, ending before ends[i], is one LAPACK dtbtrs solve of this unit
+    lower-triangular recurrence, started from the last pair of block i-1
+    divided by its larger magnitude: y keeps its signs but not its scale.
     """
     from scipy.linalg.lapack import dtbtrs
-    m = w.size
-    ab = np.zeros((3, m))
-    ab[0, :2] = 1.0
-    ab[0, 2:] = w[2:]
-    ab[1, 1:-1] = 10.0 * w[1:-1] - 12.0
-    ab[2, :-2] = w[:-2]
-    b = np.zeros((m, 1))
-    b[1, 0] = 1e-12
-    u, info = dtbtrs(ab, b, uplo="L")
-    if info != 0:
-        raise ConvergenceError(
-            "Numerov sweep hit a zero pivot: w = 1 + h^2 g / 12 vanishes on the grid")
-    return u[:, 0]
+    y = np.zeros(d.size + 2)
+    y[1] = 1.0
+    start = 0
+    for end in ends:
+        ab = np.ones((3, end - start))
+        ab[1, 0] = 0.0
+        ab[1, 1:-1] = -d[start:end - 2]
+        b = np.zeros((end - start, 1))
+        pair = y[start:start + 2]
+        b[:2, 0] = pair / np.max(np.abs(pair))
+        y[start:end] = dtbtrs(ab, b, uplo="L", diag="U")[0][:, 0]
+        start = end - 2
+    return y
 
 
-def _numerov_mismatch(g: np.ndarray, h: float, match: int):
-    """Log-derivative mismatch at the match index for u'' + g u = 0.
+def _level_counter(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
+                   lo: float, hi: float, constants: PhysicalConstants):
+    """count(E), the number of Numerov levels below E, for lo <= E <= hi.
 
-    Sweeps outward to match+1 and inward to match-1 with the Numerov
-    three-point scheme and returns the difference of the centered
-    logarithmic derivatives, plus both branches for state assembly.
+    Block ends, set once, keep the summed local growth rate
+    arccosh(max(|12/w - 10| / 2, 1)) below ln 1e250 per block, so no sweep
+    leaves double range; |12/w - 10| is monotone in E, so its larger value
+    at lo and hi bounds it on the whole bracket.
     """
-    w = 1.0 + (h * h / 12.0) * g
-    n = g.size
-    uo = _numerov_sweep(w[: match + 2])
-    ui = np.zeros(n)
-    ui[match - 1:] = _numerov_sweep(w[::-1][: n - match + 1])[::-1]
-    if uo[match] == 0.0 or ui[match] == 0.0:
-        raise ConvergenceError("Numerov solution vanished at the matching point")
-    dlog_out = (uo[match + 1] - uo[match - 1]) / (2.0 * h * uo[match])
-    dlog_in = (ui[match + 1] - ui[match - 1]) / (2.0 * h * ui[match])
-    return dlog_out - dlog_in, uo, ui
+    full, _interior, h = _interior_grid(cfg)
+    v_eff = effective_potential(full, p, l, mu, constants)
+    step = h * h / (12.0 * hbar2_over_2mu(mu, constants))
+    wall = np.flatnonzero(1.0 + step * (lo - v_eff) <= 0.0).max(initial=0)
+    v_eff = v_eff[wall + 1:-1]
 
+    def coefficients(e):
+        return 12.0 / (1.0 + step * (e - v_eff)) - 10.0
 
-def _assemble(uo: np.ndarray, ui: np.ndarray, match: int, n: int) -> np.ndarray:
-    u = np.zeros(n)
-    u[: match + 1] = uo[: match + 1]
-    scale = uo[match] / ui[match]
-    u[match + 1:] = scale * ui[match + 1:]
-    return u
+    steepest = np.maximum(np.abs(coefficients(lo)), np.abs(coefficients(hi)))
+    block = np.cumsum(np.arccosh(np.maximum(steepest / 2.0, 1.0))) // np.log(1e250)
+    ends = np.append(np.flatnonzero(np.diff(block)) + 3, v_eff.size + 2)
+
+    def count(e):
+        y = _numerov_sweep(coefficients(e), ends)
+        return int(np.count_nonzero(np.diff(np.signbit(y))))
+
+    return count
 
 
 def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
                   e_bracket: tuple[float, float],
-                  constants: PhysicalConstants = PAPER,
-                  max_iterations: int = 200) -> NumerovResult:
-    """One eigenvalue inside e_bracket by two-sided Numerov matching.
+                  constants: PhysicalConstants = PAPER) -> NumerovResult:
+    """The one Numerov eigenvalue inside e_bracket, by bisecting a node count.
 
-    The bracket must straddle a sign change of the log-derivative mismatch;
-    bisection narrows it to eig_tol (relative to the energy scale) with a
-    final secant polish.  Each Numerov sweep is one LAPACK banded
-    triangular solve.  A sign change that is a pole of the mismatch, not a
-    root, raises ConvergenceError: the polished |mismatch| must not exceed
-    the smaller of its two starting values.
+    With g = (E - V_eff) / (hbar^2/2mu) and w = 1 + h^2 g / 12, y = w u of the
+    outward solution (u = 0 at the wall) obeys y[i+1] = (12/w[i] - 10) y[i]
+    - y[i-1]: it is the Sturm sequence of tridiag(-1, 12/w - 10, -1), whose
+    diagonal falls as E rises wherever w > 0.  So its sign changes count the
+    levels below E; the count grows with E and has no poles.  The wall is
+    the last grid point where w <= 0 at the bracket's lower end, else r_min:
+    where h^2 |g| / 12 >= 1 the grid does not resolve the barrier, and
+    sign changes there would shift the count.
+
+    The bracket must hold exactly one level, else ConvergenceError says how
+    many it holds.  Bisection on the count narrows it to eig_tol (relative
+    to the energy scale), or until its midpoint is no longer representable,
+    and returns the midpoint; node_count is the number of levels below it.
     """
-    full, _interior, h = _interior_grid(cfg)
-    h2m = hbar2_over_2mu(mu, constants)
-    v_eff = effective_potential(full, p, l, mu, constants)
-
-    def mismatch(e):
-        g = (e - v_eff) / h2m
-        sign_flips = np.nonzero(np.diff(np.sign(g)) != 0)[0]
-        match = int(sign_flips[-1]) + 1 if sign_flips.size else full.size // 2
-        match = min(max(match, 2), full.size - 3)
-        val, uo, ui = _numerov_mismatch(g, h, match)
-        return val, uo, ui, match
-
     lo, hi = float(min(e_bracket)), float(max(e_bracket))
-    f_lo, *_ = mismatch(lo)
-    f_hi, *_ = mismatch(hi)
-    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
+    count = _level_counter(p, l, mu, cfg, lo, hi, constants)
+    below = count(lo)
+    levels = count(hi) - below
+    if levels != 1:
         raise ConvergenceError(
-            f"Numerov sweep overflowed in bracket ({lo:.9g}, {hi:.9g}): the solution "
-            f"grows past double range across the forbidden tail; use a smaller r_max "
-            f"than {cfg.r_max:.6g}")
-    if f_lo * f_hi > 0.0:
-        raise ConvergenceError(
-            f"no sign change of the matching mismatch in bracket ({lo:.9g}, {hi:.9g})"
-        )
-    start_mismatch = min(abs(f_lo), abs(f_hi))
+            f"bracket ({lo:.9g}, {hi:.9g}) holds {levels} Numerov levels, not one")
     tol = cfg.eig_tol * max(1.0, abs(lo), abs(hi))
     iterations = 0
     while hi - lo > tol:
-        iterations += 1
-        if iterations > max_iterations:
-            raise ConvergenceError(
-                f"Numerov matching did not converge in {max_iterations} iterations")
         mid = 0.5 * (lo + hi)
-        f_mid, *_ = mismatch(mid)
-        if f_lo * f_mid <= 0.0:
-            hi, f_hi = mid, f_mid
+        if mid in (lo, hi):
+            break
+        iterations += 1
+        if count(mid) > below:
+            hi = mid
         else:
-            lo, f_lo = mid, f_mid
-    # one secant polish inside the final bracket
-    e_star = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else 0.5 * (lo + hi)
-    if not lo <= e_star <= hi:
-        e_star = 0.5 * (lo + hi)
-    f_star, uo, ui, match = mismatch(e_star)
-    if not abs(f_star) <= start_mismatch:
-        raise ConvergenceError(
-            f"bracket holds a pole of the matching function, not a level: "
-            f"|mismatch| grew from {start_mismatch:.3g} to {abs(f_star):.3g} "
-            f"near E={e_star:.9g}")
-    u = _assemble(uo, ui, match, full.size)
-    nodes = count_sign_changes(u[1:-1], threshold_ratio=NODE_THRESHOLD)
-    return NumerovResult(energy=e_star, node_count=nodes,
-                         iterations=iterations, mismatch=f_star)
+            lo = mid
+    return NumerovResult(energy=0.5 * (lo + hi), node_count=below, iterations=iterations)
 
 
 def solution_to_csv(sol: RadialGridSolution) -> str:

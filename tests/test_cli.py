@@ -188,6 +188,26 @@ def test_quantization_residual_check_reports_fail(capsys, monkeypatch):
     assert "FAIL - nu-quantization-residual" in out
 
 
+@pytest.mark.parametrize("name, change", [
+    ("anchor-matrix-vs-numerov", lambda res: {"energy": res.energy * (1.0 + 1e-5)}),
+    ("anchor-numerov-nodes", lambda res: {"node_count": 1}),
+])
+def test_numerov_checks_report_fail(capsys, monkeypatch, name, change):
+    from hyiqp import checks
+
+    real = checks.solve_numerov
+
+    def broken(*args):
+        res = real(*args)
+        return dataclasses.replace(res, **change(res))
+
+    monkeypatch.setattr(checks, "solve_numerov", broken)
+    code, out, _ = run(capsys, "check", "oracle")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == [f"FAIL - {name}"]
+
+
 def test_molecules_listing_and_env_registry(tmp_path, capsys, monkeypatch):
     extra = tmp_path / "reg.csv"
     extra.write_text("name,A,B,C,alpha,mu\nXY,1.0,2.0,3.0,0.5,1.25\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
-from hyiqp.oracle import (NumerovResult, OracleConfig, _numerov_mismatch,
+from hyiqp.oracle import (NumerovResult, OracleConfig, _level_counter,
                           _numerov_sweep, default_config, expectation_numeric,
                           solution_to_csv, solve_matrix, solve_numerov)
 from hyiqp.potential import PotentialParams, effective_potential
@@ -104,41 +104,36 @@ def test_dual_method_gap_shrinks_at_second_order():
 
 
 def test_numerov_requires_sign_change():
-    with pytest.raises(ConvergenceError, match="no sign change"):
+    with pytest.raises(ConvergenceError, match="holds 0 Numerov levels"):
         solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, (-5.0, -4.0), PAPER)
 
 
-def test_numerov_names_an_overflowed_sweep():
-    # from the default 40 A window the inward sweep of this state grows past
-    # double range before the turning point: both bracket ends are NaN
+def test_numerov_converges_in_the_default_window():
+    # the solution grows by ~e^2500 across the 40 A forbidden tail; the
+    # blockwise sweep keeps it inside double range
     h2 = get_molecule("H2")
     p = PotentialParams.from_molecule(h2, v0=5.0)
     cfg = default_config(h2.alpha)
     e0 = solve_matrix(p, 1, h2.mu, cfg, 1, PHYSICAL).eigenvalues[0]
-    with pytest.raises(ConvergenceError, match="overflowed.*smaller r_max"):
-        solve_numerov(p, 1, h2.mu, cfg, (e0 - 0.02, e0 + 0.02), PHYSICAL)
+    res = solve_numerov(p, 1, h2.mu, cfg, (e0 - 0.02, e0 + 0.02), PHYSICAL)
+    assert res.node_count == 0
+    assert abs(e0 - res.energy) / abs(res.energy) <= 1e-5
 
 
-def _recurrence_branches(g, h, match):
-    """Reference: the plain-Python Numerov recurrences the banded solves replaced."""
-    w = 1.0 + (h * h / 12.0) * g
-    n = g.size
-    uo = np.zeros(match + 2)
-    uo[1] = 1e-12
-    for i in range(1, match + 1):
-        uo[i + 1] = ((12.0 - 10.0 * w[i]) * uo[i] - w[i - 1] * uo[i - 1]) / w[i + 1]
-    ui = np.zeros(n)
-    ui[-2] = 1e-12
-    for i in range(n - 2, match - 1, -1):
-        ui[i - 1] = ((12.0 - 10.0 * w[i]) * ui[i] - w[i + 1] * ui[i + 1]) / w[i - 1]
-    return uo, ui
+def _outward_recurrence(d):
+    """Reference: the recurrence y[k+2] = d[k] y[k+1] - y[k] in plain Python."""
+    y = np.zeros(d.size + 2)
+    y[1] = 1.0
+    for k in range(d.size):
+        y[k + 2] = d[k] * y[k + 1] - y[k]
+    return y
 
 
 _H2 = get_molecule("H2")
 SWEEP_CASES = [
     pytest.param(ANCHOR, 0, 1.0, ANCHOR_CFG, PAPER, k, id=f"anchor-k{k}") for k in range(3)
 ] + [
-    # a 4 A window: from the default 40 A the inward sweep overflows double range
+    # a 4 A window: from the default 40 A the unscaled reference overflows double range
     pytest.param(PotentialParams.from_molecule(_H2, v0=5.0), 1, _H2.mu,
                  OracleConfig(r_min=1e-4, r_max=4.0, n_points=20000), PHYSICAL, 0,
                  id="H2-physical-l1-v0-5"),
@@ -151,18 +146,38 @@ def test_banded_sweeps_match_the_recurrence(p, l, mu, cfg, constants, k):
     full = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)
     h = full[1] - full[0]
     g = (e - effective_potential(full, p, l, mu, constants)) / hbar2_over_2mu(mu, constants)
-    match = int(np.nonzero(np.diff(np.sign(g)) != 0)[0][-1]) + 1
-    _val, uo, ui = _numerov_mismatch(g, h, match)
-    ref_o, ref_i = _recurrence_branches(g, h, match)
-    assert np.max(np.abs(uo - ref_o)) <= 1e-10 * np.max(np.abs(ref_o))
-    assert np.max(np.abs(ui - ref_i)) <= 1e-10 * np.max(np.abs(ref_i))
+    w = 1.0 + (h * h / 12.0) * g
+    wall = np.flatnonzero(w <= 0.0).max(initial=0)      # the last unresolved point
+    d = 12.0 / w[wall + 1:-1] - 10.0
+    ref = _outward_recurrence(d)
+    # each block starts from the last pair of the one before, rescaled: undo
+    # that positive factor on the stretch up to the next start
+    ends = np.append(np.arange(250, d.size + 2, 250), d.size + 2)
+    y = _numerov_sweep(d, ends)
+    starts = np.append(0, ends[:-1] - 2)
+    for start, end in zip(starts, np.append(starts[1:], y.size)):
+        i = start + int(np.argmax(np.abs(ref[start:end])))
+        assert y[i] / ref[i] > 0.0
+        y[start:end] *= ref[i] / y[i]
+    # past the outermost turning point rounding grows with the forbidden
+    # tail, differently in the two orders of operations
+    turn = int(np.nonzero(np.diff(np.sign(g)) != 0)[0][-1]) + 2 - wall
+    assert np.max(np.abs(y - ref)[:turn]) <= 1e-10 * np.max(np.abs(ref[:turn]))
 
 
-def test_numerov_sweep_raises_on_a_zero_pivot():
-    w = np.ones(10)
-    w[5] = 0.0
-    with pytest.raises(ConvergenceError, match="zero pivot"):
-        _numerov_sweep(w)
+def test_numerov_starts_past_the_unresolved_inner_wall():
+    # h^2 |g| / 12 >= 1 at the grid points next to r_min: w <= 0 there, and
+    # their spurious sign changes would shift the count inside the spectrum
+    h2 = get_molecule("H2")
+    p = PotentialParams.from_molecule(h2, v0=5.719)
+    cfg = default_config(h2.alpha)
+    levels = solve_matrix(p, 3, h2.mu, cfg, 9, PHYSICAL).eigenvalues
+    for k in range(levels.size - 1):
+        lo = levels[k] - 0.5 * (levels[k + 1] - levels[k])
+        hi = levels[k] + 0.5 * (levels[k + 1] - levels[k])
+        res = solve_numerov(p, 3, h2.mu, cfg, (lo, hi), PHYSICAL)
+        assert res.node_count == k
+        assert abs(levels[k] - res.energy) <= 1e-3 * max(1.0, abs(levels[k]))
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +187,24 @@ def anchor_levels():
 
 @pytest.mark.parametrize("lower, upper, pad", [(0, 1, 0.05), (0, 1, 1.0), (1, 2, 0.05)])
 def test_numerov_rejects_a_bracket_around_a_mismatch_pole(anchor_levels, lower, upper, pad):
-    # the mismatch changes sign between neighbouring levels without a root there
+    # a log-derivative mismatch has a pole between neighbouring levels; the
+    # node count sees no level there
     bracket = (anchor_levels[lower] + pad, anchor_levels[upper] - pad)
-    with pytest.raises(ConvergenceError, match="pole"):
+    with pytest.raises(ConvergenceError, match="holds 0 Numerov levels"):
+        solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, bracket, PAPER)
+
+
+def test_numerov_converges_on_a_bracket_reaching_towards_the_next_level(anchor_levels):
+    # one level, in a bracket that ends just below the next
+    e0, e1 = anchor_levels[0], anchor_levels[1]
+    res = solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, (e0 - 0.5, e1 - 0.05), PAPER)
+    assert res.node_count == 0
+    assert abs(e0 - res.energy) / abs(res.energy) <= 1e-6
+
+
+def test_numerov_rejects_a_bracket_holding_two_levels(anchor_levels):
+    bracket = (anchor_levels[0] - 0.5, anchor_levels[1] + 0.5)
+    with pytest.raises(ConvergenceError, match="holds 2 Numerov levels"):
         solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, bracket, PAPER)
 
 
@@ -297,6 +327,24 @@ def test_screen_matches_the_unscreened_solve_everywhere(v0, l, physical, name):
     p = PotentialParams.from_molecule(mol, v0=v0)
     _assert_screen_is_exact(p, l, mol.mu, default_config(mol.alpha), 9,
                             PHYSICAL if physical else PAPER)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(v0=st.floats(0.0, 10.0), l=st.integers(0, 3), physical=st.booleans(),
+       name=st.sampled_from(MOLECULES))
+def test_numerov_count_is_monotone_and_matches_the_matrix(v0, l, physical, name):
+    mol = get_molecule(name)
+    constants = PHYSICAL if physical else PAPER
+    p = PotentialParams.from_molecule(mol, v0=v0)
+    cfg = default_config(mol.alpha)
+    levels = solve_matrix(p, l, mol.mu, cfg, 9, constants,
+                          below_asymptote_only=False).eigenvalues
+    # halfway between neighbouring matrix levels, and as far below the lowest
+    between = np.append(1.5 * levels[0] - 0.5 * levels[1], 0.5 * (levels[:-1] + levels[1:]))
+    count = _level_counter(p, l, mol.mu, cfg, between[0], between[-1], constants)
+    assert [count(e) for e in between] == list(range(between.size))
+    counts = [count(e) for e in np.linspace(between[0], between[-1], 41)]
+    assert np.all(np.diff(counts) >= 0)
 
 
 def _binding_threshold(make, l, mu, cfg, constants, lo, hi):
