@@ -203,25 +203,34 @@ def _level_counter(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
                    lo: float, hi: float, constants: PhysicalConstants):
     """count(E), the number of Numerov levels below E, for lo <= E <= hi.
 
-    Block ends, set once, keep the summed local growth rate
-    arccosh(max(|12/w - 10| / 2, 1)) below ln 1e250 per block, so no sweep
-    leaves double range; |12/w - 10| is monotone in E, so its larger value
-    at lo and hi bounds it on the whole bracket.
+    At or below the interior minimum of V_eff, g <= 0 everywhere, so the
+    diagonal 12/w - 10 is at least 2 wherever w > 0, and the count is 0
+    without a sweep.  Above it, the wall and block ends are set once, from
+    e_floor = max(lo, min V_eff), so a lower end far below the potential
+    cannot move the wall into the well.  Block ends keep the summed local
+    growth rate arccosh(max(|12/w - 10| / 2, 1)) below ln 1e250 per block,
+    so no sweep leaves double range; |12/w - 10| is monotone in E, so its
+    larger value at e_floor and hi bounds it on the whole bracket.
     """
     full, _interior, h = _interior_grid(cfg)
     v_eff = effective_potential(full, p, l, mu, constants)
     step = h * h / (12.0 * hbar2_over_2mu(mu, constants))
-    wall = np.flatnonzero(1.0 + step * (lo - v_eff) <= 0.0).max(initial=0)
+    v_floor = float(v_eff[1:-1].min())
+    e_floor = max(lo, v_floor)
+    wall = np.flatnonzero(1.0 + step * (e_floor - v_eff) <= 0.0).max(initial=0)
     v_eff = v_eff[wall + 1:-1]
 
     def coefficients(e):
         return 12.0 / (1.0 + step * (e - v_eff)) - 10.0
 
-    steepest = np.maximum(np.abs(coefficients(lo)), np.abs(coefficients(hi)))
+    steepest = np.maximum(np.abs(coefficients(e_floor)),
+                          np.abs(coefficients(max(hi, e_floor))))
     block = np.cumsum(np.arccosh(np.maximum(steepest / 2.0, 1.0))) // np.log(1e250)
     ends = np.append(np.flatnonzero(np.diff(block)) + 3, v_eff.size + 2)
 
     def count(e):
+        if e <= v_floor:
+            return 0
         y = _numerov_sweep(coefficients(e), ends)
         return int(np.count_nonzero(np.diff(np.signbit(y))))
 
@@ -238,14 +247,16 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     - y[i-1]: it is the Sturm sequence of tridiag(-1, 12/w - 10, -1), whose
     diagonal falls as E rises wherever w > 0.  So its sign changes count the
     levels below E; the count grows with E and has no poles.  The wall is
-    the last grid point where w <= 0 at the bracket's lower end, else r_min:
-    where h^2 |g| / 12 >= 1 the grid does not resolve the barrier, and
-    sign changes there would shift the count.
+    the last grid point where w <= 0 at the larger of the bracket's lower
+    end and the interior minimum of V_eff, else r_min: where h^2 |g| / 12
+    >= 1 the grid does not resolve the barrier, and sign changes there
+    would shift the count.
 
     The bracket must hold exactly one level, else ConvergenceError says how
     many it holds.  Bisection on the count narrows it to eig_tol (relative
-    to the energy scale), or until its midpoint is no longer representable,
-    and returns the midpoint; node_count is the number of levels below it.
+    to the energy scale of the current bracket), or until its midpoint is
+    no longer representable, and returns the midpoint; node_count is the
+    number of levels below it.
     """
     lo, hi = float(min(e_bracket)), float(max(e_bracket))
     count = _level_counter(p, l, mu, cfg, lo, hi, constants)
@@ -254,9 +265,8 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     if levels != 1:
         raise ConvergenceError(
             f"bracket ({lo:.9g}, {hi:.9g}) holds {levels} Numerov levels, not one")
-    tol = cfg.eig_tol * max(1.0, abs(lo), abs(hi))
     iterations = 0
-    while hi - lo > tol:
+    while hi - lo > cfg.eig_tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break

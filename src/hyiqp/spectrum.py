@@ -341,22 +341,26 @@ def normalization_constant(p: PotentialParams, mu: float, n: int, l: int,
                      = (1/2alpha) B(2sqrtP, 2+gamma) mean(P_n^2),
 
     the mean taken with the normalized Gauss-Jacobi weights of n+1 nodes,
-    exact for the degree-2n P_n^2.  B is formed in logarithms, so large
-    sqrtP takes the same path; ConvergenceError if N leaves double range.
+    exact for the degree-2n P_n^2.  P_0 = 1, so at n = 0 the mean is 1
+    without nodes and scipy.special is not imported.  B is formed in
+    logarithms, so large sqrtP takes the same path; ConvergenceError if N
+    leaves double range.
     """
-    from scipy.special import roots_jacobi
-
     res, sqrt_p, a_exp, b_exp = _psi_factors(p, mu, n, l, constants, convention)
-    # only the nodes are used: the weights overflow with 2^(2sqrtP) for sqrtP > ~500
-    with np.errstate(over="ignore"):
-        x = roots_jacobi(n + 1, 2.0 * sqrt_p - 1.0, 1.0 + res.gamma)[0]
-    # Christoffel weights 1 / ((1 - x_i^2) P'_{n+1}(x_i)^2) up to a common
-    # factor, with P'_{n+1}(x_i) ~ prod_{j != i} (x_i - x_j): no polynomial
-    # is evaluated, so they carry no cancellation error
-    weights = 1.0 / ((1.0 - x * x) * np.prod(x[:, None] - x + np.eye(n + 1), axis=1) ** 2)
-    mean = float(np.sum(weights * jacobi(n, a_exp, b_exp, x) ** 2) / np.sum(weights))
-    if not 0.0 < mean < math.inf:
-        raise ConvergenceError(f"Gauss-Jacobi mean of P_n^2 is {mean!r} at n={n}, l={l}")
+    mean = 1.0
+    if n > 0:
+        from scipy.special import roots_jacobi
+
+        # only the nodes are used: the weights overflow with 2^(2sqrtP) for sqrtP > ~500
+        with np.errstate(over="ignore"):
+            x = roots_jacobi(n + 1, 2.0 * sqrt_p - 1.0, 1.0 + res.gamma)[0]
+        # Christoffel weights 1 / ((1 - x_i^2) P'_{n+1}(x_i)^2) up to a common
+        # factor, with P'_{n+1}(x_i) ~ prod_{j != i} (x_i - x_j): no polynomial
+        # is evaluated, so they carry no cancellation error
+        weights = 1.0 / ((1.0 - x * x) * np.prod(x[:, None] - x + np.eye(n + 1), axis=1) ** 2)
+        mean = float(np.sum(weights * jacobi(n, a_exp, b_exp, x) ** 2) / np.sum(weights))
+        if not 0.0 < mean < math.inf:
+            raise ConvergenceError(f"Gauss-Jacobi mean of P_n^2 is {mean!r} at n={n}, l={l}")
     log_beta = (math.lgamma(2.0 * sqrt_p) + math.lgamma(2.0 + res.gamma)
                 - math.lgamma(2.0 * sqrt_p + 2.0 + res.gamma))
     log_norm = 0.5 * (math.log(2.0 * p.alpha) - log_beta - math.log(mean))

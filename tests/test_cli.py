@@ -208,6 +208,18 @@ def test_numerov_checks_report_fail(capsys, monkeypatch, name, change):
     assert failed == [f"FAIL - {name}"]
 
 
+def test_normalization_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import checks
+
+    real = checks.normalization_constant
+    monkeypatch.setattr(checks, "normalization_constant",
+                        lambda *args: real(*args) * (1.0 + 1e-5))
+    code, out, _ = run(capsys, "check", "nu")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == ["FAIL - wavefunction-normalization"]
+
+
 def test_molecules_listing_and_env_registry(tmp_path, capsys, monkeypatch):
     extra = tmp_path / "reg.csv"
     extra.write_text("name,A,B,C,alpha,mu\nXY,1.0,2.0,3.0,0.5,1.25\n")
@@ -228,19 +240,27 @@ def test_fmt_12_significant_digits():
     assert fmt(-0.125) == "-0.125"
 
 
-def test_energy_imports_no_scipy_submodules():
-    # scipy.integrate alone costs most of a cold CLI call; the closed-form
-    # commands must not import it, nor scipy.special or scipy.linalg
+@pytest.mark.parametrize("argv, forbidden", [
+    pytest.param(["energy", "--molecule", "CO", "--n", "3", "--l", "2"],
+                 ("scipy.integrate", "scipy.special", "scipy.linalg"), id="energy"),
+    pytest.param(["figure", "9"], ("scipy",), id="figure-9"),
+    pytest.param(["check", "all"], ("scipy.integrate",), id="check-all"),
+])
+def test_cold_commands_import_only_the_scipy_they_use(argv, forbidden):
+    # a scipy subpackage costs a cold CLI call more than the physics it
+    # serves: the closed form needs none, the figures' ground states are
+    # normalized without Gauss-Jacobi nodes, and the normalization re-check
+    # integrates with numpy's Gauss-Legendre rule
     src = Path(__file__).resolve().parents[1] / "src"
+    prefixes = tuple(name + "." for name in forbidden)
     script = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "import hyiqp.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = hyiqp.cli.main(['energy', '--molecule', 'CO', '--n', '3', '--l', '2'])\n"
+        f"    code = hyiqp.cli.main({argv!r})\n"
         "assert code == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.linalg')"
-        " if m in sys.modules))\n"
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefixes!r})))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)

@@ -208,6 +208,17 @@ def test_numerov_rejects_a_bracket_holding_two_levels(anchor_levels):
         solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, bracket, PAPER)
 
 
+@pytest.mark.parametrize("lower", [-3e9, -1e9])
+def test_numerov_converges_on_a_bracket_reaching_far_below_the_potential(anchor_levels,
+                                                                         lower):
+    # the wall and block ends come from min V_eff (about -3.6e5 here), not from
+    # the lower end, and the stopping tolerance shrinks with the bracket
+    e0 = anchor_levels[0]
+    res = solve_numerov(ANCHOR, 0, 1.0, ANCHOR_CFG, (lower, e0 + 0.1), PAPER)
+    assert res.node_count == 0
+    assert abs(e0 - res.energy) / abs(res.energy) <= 1e-6
+
+
 # k = 0 and 1 at +-0.02 are covered by the two anchor tests above
 @pytest.mark.parametrize("k, pad", [(2, 0.02), (0, 0.1), (0, 5.0)])
 def test_numerov_converges_on_a_bracket_around_a_level(anchor_levels, k, pad):
