@@ -12,8 +12,8 @@ acceptance tests assert on ``run_suite``):
   fails at exactly the documented cutoff states; wave functions normalize
   and the orthodox convention carries n nodes;
 * oracle: grid calibration against closed-form boxes and the hydrogenic
-  limit, dual-method agreement on the screened-well anchor, and a
-  Hellmann-Feynman check done entirely numerically.
+  limit, dual-method agreement on the screened-well anchor, and
+  Hellmann-Feynman checks in A and B done entirely numerically.
 
 The screened-well anchor (V0=2, alpha=0.05, mu=1, l=0, hbar=1) is the one
 configuration where the closed form is exact, so it pins the oracle's
@@ -25,7 +25,7 @@ below the dual-method tolerance at 20000 points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -237,6 +237,14 @@ def _norm_recheck(p, mu, n, l, constants, convention):
     return float(np.sum(psi**2 @ weights) * half) * res_norm**2
 
 
+def _anchor_slope(name, step, k_states, constants):
+    """Central difference of the anchor's lowest levels in one potential parameter."""
+    levels = [solve_matrix(replace(ANCHOR, **{name: value}), 0, ANCHOR_MU,
+                           ANCHOR_CFG, k_states, constants).eigenvalues
+              for value in (step, -step)]
+    return (levels[0] - levels[1]) / (2.0 * step)
+
+
 def check_oracle(constants=PAPER) -> list[CheckResult]:
     results = []
 
@@ -294,17 +302,23 @@ def check_oracle(constants=PAPER) -> list[CheckResult]:
     # Hellmann-Feynman done entirely on the grid: quadrature of the screened
     # moment against a finite difference of the matrix eigenvalue under an
     # A-perturbation; no closed-form energy enters anywhere.
-    h_a = 1e-4
-    plus = solve_matrix(PotentialParams(2.0, +h_a, 0.0, 0.0, 0.05), 0, ANCHOR_MU,
-                        ANCHOR_CFG, 1, constants)
-    minus = solve_matrix(PotentialParams(2.0, -h_a, 0.0, 0.0, 0.05), 0, ANCHOR_MU,
-                         ANCHOR_CFG, 1, constants)
-    de_da = (plus.eigenvalues[0] - minus.eigenvalues[0]) / (2.0 * h_a)
+    de_da = _anchor_slope("a", 1e-4, 1, constants)[0]
     screened = expectation_numeric(sol_a, 0, "r_m1_screened")
     rel_ind = abs(screened + de_da) / abs(screened)
     results.append(_result("numeric-hft-independence", rel_ind <= 1e-3,
                            f"<e^-ar/r>={screened:.6f} vs -dE/dA={-de_da:.6f}, "
                            f"rel={rel_ind:.2e} (tol 1e-3)"))
+
+    # the same for B, where dE/dB = <r^-2>: the grid eigenvalue's derivative is
+    # the discrete mean sum u^2/r^2 / sum u^2 (the trapezoid's half weight at
+    # the first grid point puts its mean 1e-3 low)
+    de_db = _anchor_slope("b", 1e-5, 2, constants)
+    u2 = sol_a.eigenvectors[:2] ** 2
+    mean_r_m2 = np.sum(u2 / sol_a.grid**2, axis=1) / np.sum(u2, axis=1)
+    rel_b = np.abs(de_db - mean_r_m2) / mean_r_m2
+    results.append(_result("numeric-hft-r_m2", np.all(rel_b <= 1e-7),
+                           f"<r^-2>={mean_r_m2[0]:.6f} vs dE/dB={de_db[0]:.6f}, "
+                           f"worst rel={rel_b.max():.2e} over k <= 1 (tol 1e-7)"))
 
     pos_ok = all(expectation_numeric(sol_a, k, "r_m2") > 0.0
                  and expectation_numeric(sol_a, k, "p2") > 0.0

@@ -35,7 +35,8 @@ SUITES = {
     "oracle": (30.0, [
         "box-calibration", "grid-convergence-order", "hydrogenic-limit",
         "anchor-analytic-vs-matrix", "anchor-matrix-vs-numerov", "anchor-numerov-nodes",
-        "anchor-node-counts", "numeric-hft-independence", "numeric-positivity",
+        "anchor-node-counts", "numeric-hft-independence", "numeric-hft-r_m2",
+        "numeric-positivity",
         "unbound-molecule-diagnostic",
     ]),
 }

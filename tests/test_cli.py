@@ -208,6 +208,25 @@ def test_numerov_checks_report_fail(capsys, monkeypatch, name, change):
     assert failed == [f"FAIL - {name}"]
 
 
+def test_numeric_hft_r_m2_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import checks
+
+    real = checks.solve_matrix
+
+    def broken(p, *args, **kwargs):
+        # the +B levels 1e-9 of themselves higher: dE/dB moves by ~1e-5
+        sol = real(p, *args, **kwargs)
+        if p.b > 0.0:
+            sol.eigenvalues = sol.eigenvalues * (1.0 - 1e-9)
+        return sol
+
+    monkeypatch.setattr(checks, "solve_matrix", broken)
+    code, out, _ = run(capsys, "check", "oracle")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == ["FAIL - numeric-hft-r_m2"]
+
+
 def test_normalization_check_reports_fail(capsys, monkeypatch):
     from hyiqp import checks
 
@@ -268,22 +287,25 @@ def test_cold_commands_import_only_the_scipy_they_use(argv, forbidden):
     assert proc.stdout.strip() == "[]"
 
 
-# SHA-256 of stdout recorded before solve_matrix screened out unbound
-# spectra (numpy 2.4.6, scipy 1.17.1); the screen must not move a byte
+# SHA-256 of stdout (numpy 2.4.6, scipy 1.17.1).  The unbound H2 pin was
+# recorded before solve_matrix screened out unbound spectra, and the screen
+# must not move a byte of it; the other three were re-recorded when matrix
+# eigenvalues became Rayleigh quotients, which moved their oracle cells
+# closer to mpmath references of the same grid operator
 PINNED_STDOUT = [
     pytest.param(("expect", "--molecule", "H2", "--observable", "r-2", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
-                 "3c277e170712ed6f995abfd6ae5a0cd88d948581d2f2d42f1c07610bbcb08284",
+                 "1a87b79cdc41643db1c863b3c654c60aae843ae0013deb4b18695494668516a6",
                  id="expect-H2-paper-v0-4"),
     pytest.param(("expect", "--molecule", "H2", "--observable", "T", "--oracle"),
                  "2f50fdc8302aedfc3b03c82a85e7e1a2e2b32162beccc02c864c9ad08de32c30",
                  id="expect-H2-physical-unbound"),
     pytest.param(("expect", "--molecule", "HCl", "--observable", "T", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
-                 "a1c94eb1dd4080e605969749ec439e083808e18d16830d6c2e377d32a6958642",
+                 "aae115621e2e0190ddbf678c1eeded132294c3e87edca49bb93992d1570f3d2d",
                  id="expect-HCl-paper-v0-4"),
     pytest.param(("check", "all"),
-                 "676a59bdb5cefaa87f5bbdfe95b9fbf8a6176cbc5ab56bc6b446abc890e81b6b",
+                 "2bde524389516d3f66a29063d7a15032ad77513b3eba59fbe0b2ad36b0ace841",
                  id="check-all"),
 ]
 

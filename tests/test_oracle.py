@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -71,6 +72,41 @@ def test_anchor_eigenvectors_are_normalized():
     sol = solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 3, PAPER)
     for u in sol.eigenvectors:
         assert np.trapezoid(u * u, sol.grid) == pytest.approx(1.0, abs=1e-8)
+
+
+def _operator(p, l, mu, cfg, constants):
+    """V_eff and c of solve_matrix's Hamiltonian tridiag(-c, 2c + V_eff, -c)."""
+    full = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)
+    r, h = full[1:-1], full[1] - full[0]
+    return effective_potential(r, p, l, mu, constants), hbar2_over_2mu(mu, constants) / h**2
+
+
+def test_matrix_levels_are_the_exact_grid_eigenvalues():
+    # Sturm-count bisection at 30 digits of the grid operator, its diagonal
+    # 2c + V_eff summed exactly as the Rayleigh quotient takes it (rounding
+    # that sum to double moves a molecule level by up to 2e-12 at 20000
+    # points); a bisection to eig_tol was 2e-12 and 2e-11 off here
+    cfg = OracleConfig(r_min=1e-7, r_max=1.1, n_points=5000)
+    sol = solve_matrix(ANCHOR, 0, 1.0, cfg, 2, PAPER)
+    v_eff, c = _operator(ANCHOR, 0, 1.0, cfg, PAPER)
+    with mpmath.workdps(30):
+        d = [2 * mpmath.mpf(c) + mpmath.mpf(float(v)) for v in v_eff]
+        c2 = mpmath.mpf(c) ** 2
+
+        def count(x):
+            below, q = 0, None
+            for di in d:
+                q = di - x if q is None else di - x - c2 / q
+                below += q < 0
+            return below
+
+        for k, level in enumerate(sol.eigenvalues):
+            lo, hi = mpmath.mpf(level) - 1e-7, mpmath.mpf(level) + 1e-7
+            assert (count(lo), count(hi)) == (k, k + 1)
+            while hi - lo > 1e-14 * abs(level):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if count(mid) > k else (mid, hi)
+            assert abs(level - (lo + hi) / 2) <= 1e-13 * abs(level)
 
 
 def test_numerov_agrees_with_matrix_on_anchor():
@@ -356,6 +392,27 @@ def test_numerov_count_is_monotone_and_matches_the_matrix(v0, l, physical, name)
     assert [count(e) for e in between] == list(range(between.size))
     counts = [count(e) for e in np.linspace(between[0], between[-1], 41)]
     assert np.all(np.diff(counts) >= 0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(v0=st.floats(0.0, 10.0), l=st.integers(0, 3), physical=st.booleans(),
+       name=st.sampled_from(MOLECULES))
+def test_levels_match_a_full_bisection(v0, l, physical, name):
+    # bisecting only far enough to isolate each level changes neither which
+    # levels lie below C nor where they are, beyond a full bisection's error
+    mol = get_molecule(name)
+    constants = PHYSICAL if physical else PAPER
+    p = PotentialParams.from_molecule(mol, v0=v0)
+    cfg = default_config(mol.alpha)
+    levels = solve_matrix(p, l, mol.mu, cfg, 9, constants).eigenvalues
+    v_eff, c = _operator(p, l, mol.mu, cfg, constants)
+    ref = scipy.linalg.eigh_tridiagonal(2.0 * c + v_eff, np.full(v_eff.size - 1, -c),
+                                        eigvals_only=True, select="i",
+                                        select_range=(0, 8), tol=cfg.eig_tol)
+    ref = ref[ref < p.c]
+    assert np.all(np.diff(levels) > 0.0)
+    assert levels.size == ref.size
+    assert np.all(np.abs(levels - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
 
 
 def _binding_threshold(make, l, mu, cfg, constants, lo, hi):
