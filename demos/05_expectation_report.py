@@ -2,9 +2,9 @@
 
 Run:  python3 demos/05_expectation_report.py
 
-Every expectation value is computed twice (closed-form derivative vs
-Richardson finite differences) and set against the bundled reference table
-where one exists.  The dual-path deviation sits at rounding level; the
+Every expectation value is computed twice (closed-form derivative vs the
+complex-step derivative of the energy code) and set against the bundled
+reference table where one exists.  The dual-path deviation sits at rounding level; the
 deviation against the reference tables is large and genuine, which is why
 the tables are regenerated with deviation columns instead of being treated
 as ground truth (several reference entries are negative where a positive
@@ -18,14 +18,14 @@ rows = expectation_report(h2, "T", n_max=3, l_max=1, constants=PAPER,
                           fixtures=load_fixture("10"))
 
 print("H2 kinetic-energy report (paper mode), n <= 3, l <= 1:")
-print(f"  {'n':>2} {'l':>2} {'closed-form':>14} {'finite-diff':>14} "
+print(f"  {'n':>2} {'l':>2} {'closed-form':>14} {'complex-step':>14} "
       f"{'reference':>14} {'dev(paths)':>11} {'dev(ref)':>9}")
 for r in rows:
     print(f"  {r.n:2d} {r.l:2d} {r.paper_formula:14.8f} {r.machine_derivative:14.8f} "
           f"{r.paper_table:14.8f} {r.dev_pf_md:11.1e} {r.dev_vs_table:9.2f}")
 
 print()
-print("the two derivation paths agree to ~1e-10 (they share no algebra);")
+print("the two derivation paths agree to rounding, ~1e-16 (they share no algebra);")
 print("the reference column does not reproduce, and the deviation is the")
 print("deliverable: `hyiqp table 10` emits exactly this grid as CSV.")
 print()

@@ -12,9 +12,8 @@ from .constants import (PAPER, PHYSICAL, BUILTIN_MOLECULES, Molecule,
                         hbar2_over_2mu, registry)
 from .errors import (ConvergenceError, DomainError, HyiqpError,
                      UnknownMoleculeError, UnsupportedRegimeError)
-from .hft import (DerivativeResult, ExpectationSet, ObservableValue,
-                  d_energy_d_param, expect_kinetic, expect_p2, expect_r_m1,
-                  expect_r_m2, expectation_report, expectation_set)
+from .hft import (DerivativeResult, ObservableValue, d_energy_d_param,
+                  expectation_report, observable_for_params)
 from .jacobi import jacobi
 from .oracle import (NumerovResult, OracleConfig, RadialGridSolution,
                      default_config, expectation_numeric, solve_matrix,
@@ -37,9 +36,8 @@ __all__ = [
     "for_mode", "get_molecule", "hbar2_over_2mu", "registry",
     "ConvergenceError", "DomainError", "HyiqpError", "UnknownMoleculeError",
     "UnsupportedRegimeError",
-    "DerivativeResult", "ExpectationSet", "ObservableValue",
-    "d_energy_d_param", "expect_kinetic", "expect_p2", "expect_r_m1",
-    "expect_r_m2", "expectation_report", "expectation_set",
+    "DerivativeResult", "ObservableValue", "d_energy_d_param",
+    "expectation_report", "observable_for_params",
     "jacobi",
     "NumerovResult", "OracleConfig", "RadialGridSolution", "default_config",
     "expectation_numeric", "solve_matrix", "solve_numerov",

@@ -67,8 +67,9 @@ def hbar2_over_2mu(mu: float, constants: PhysicalConstants) -> float:
 
     In paper mode this is 1/(2 mu) with mu the bare number; in physical
     mode it is (hbar c)^2 / (2 mu c^2) in eV * Angstrom^2 for mu in amu.
+    A complex mu (the complex-step derivative) is guarded on its real part.
     """
-    if mu <= 0.0:
+    if mu.real <= 0.0:
         raise DomainError(f"reduced mass must be positive, got {mu}")
     if constants.mode == "paper":
         return 1.0 / (2.0 * mu)

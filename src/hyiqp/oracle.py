@@ -317,17 +317,6 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     return NumerovResult(energy=0.5 * (lo + hi), node_count=below, iterations=iterations)
 
 
-def solution_to_csv(sol: RadialGridSolution) -> str:
-    """Plot-ready CSV dump of the grid and every solved eigenvector."""
-    header = "r," + ",".join(f"u{k}" for k in range(len(sol.eigenvalues)))
-    lines = [header]
-    for i in range(sol.grid.size):
-        cells = [f"{sol.grid[i]:.12g}"]
-        cells += [f"{sol.eigenvectors[k][i]:.12g}" for k in range(len(sol.eigenvalues))]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def expectation_numeric(sol: RadialGridSolution, state: int, observable: str) -> float:
     """Trapezoid expectation of one observable on a solved state.
 

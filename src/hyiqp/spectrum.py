@@ -40,6 +40,7 @@ behind the ``convention`` flag and are never silently substituted.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -125,8 +126,9 @@ def _check_nl(n, l, allow_real_l=False):
         raise DomainError(f"n must be a non-negative integer, got {n}")
     if allow_real_l:
         # continuous-l evaluations are used for the l-derivative; they only
-        # need l(l+1) > -1/4 to keep the square root real for B >= 0
-        if l <= -0.5:
+        # need l(l+1) > -1/4 to keep the square root real for B >= 0.  The
+        # complex-step derivative passes a complex l, guarded on its real part
+        if l.real <= -0.5:
             raise DomainError(f"real l must exceed -1/2, got {l}")
     elif l < 0 or l != int(l):
         raise DomainError(f"l must be a non-negative integer, got {l}")
@@ -134,17 +136,21 @@ def _check_nl(n, l, allow_real_l=False):
 
 def _energy_pieces(p: PotentialParams, mu: float, n: int, l: float,
                    constants: PhysicalConstants):
-    """gamma, M, D, h2 and the sigma groups shared by energy and derivatives."""
+    """gamma, M, D, h2 and the sigma groups shared by energy and derivatives.
+
+    l, A or mu may be complex (the complex-step derivative); the real path
+    never touches cmath.
+    """
     h2 = hbar2_over_2mu(mu, constants)
     ll1 = l * (l + 1.0)
     sigma2 = p.b / h2
     radicand = 4.0 * sigma2 + 4.0 * ll1 + 1.0
-    if radicand < 0.0:
+    if radicand.real < 0.0:
         raise UnsupportedRegimeError(
             "square-root argument 4*sigma2 + 4l(l+1) + 1 is negative "
             f"({radicand:.6g}); the inverse-square attraction is too strong"
         )
-    gamma = math.sqrt(radicand)
+    gamma = cmath.sqrt(radicand) if isinstance(radicand, complex) else math.sqrt(radicand)
     sigma1 = p.a / (2.0 * h2 * p.alpha)
     delta2 = p.v0 / (4.0 * h2 * p.alpha**2)
     m_num = (sigma2 - sigma1 - delta2 + ll1) + n * n + n + 0.5 + (n + 0.5) * gamma
@@ -294,7 +300,7 @@ def energy_iqp(b: float, alpha: float, mu: float, n: int, l: int,
     h2 = hbar2_over_2mu(mu, constants)
     sigma2 = b / h2
     radicand = 4.0 * sigma2 + 4.0 * l * (l + 1.0) + 1.0
-    if radicand < 0.0:
+    if radicand.real < 0.0:
         raise UnsupportedRegimeError(
             f"square-root argument is negative ({radicand:.6g})")
     root = math.sqrt(radicand)

@@ -24,10 +24,7 @@ SUITES = {
         "potential-limit-inverse-quadratic", "energy-reduction-closure",
         "perfect-square-identity", "collapsed-energy", "inv-r-surrogate-quantified",
     ]),
-    "hft": (5.0, [
-        "hft-derivative-agreement", "p2-equals-2muT-exact", "r_m1-is-minus-dEdA",
-        "r_m2-association-invariance",
-    ]),
+    "hft": (5.0, ["hft-derivative-agreement"]),
     "nu": (None, [
         "nu-quantization-residual", "nu-bound-condition",
         "wavefunction-normalization", "orthodox-node-counts",
@@ -36,7 +33,7 @@ SUITES = {
         "box-calibration", "grid-convergence-order", "hydrogenic-limit",
         "anchor-analytic-vs-matrix", "anchor-matrix-vs-numerov", "anchor-numerov-nodes",
         "anchor-node-counts", "numeric-hft-independence", "numeric-hft-r_m2",
-        "numeric-positivity",
+        "numeric-hft-kinetic", "numeric-positivity",
         "unbound-molecule-diagnostic",
     ]),
 }

@@ -227,6 +227,37 @@ def test_numeric_hft_r_m2_check_reports_fail(capsys, monkeypatch):
     assert failed == ["FAIL - numeric-hft-r_m2"]
 
 
+def test_numeric_hft_kinetic_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import checks
+
+    real = checks.solve_matrix
+
+    def broken(p, l, mu, *args, **kwargs):
+        # the +mu levels 1e-9 of themselves lower: dE/dmu moves by ~1e-4
+        sol = real(p, l, mu, *args, **kwargs)
+        if mu > checks.ANCHOR_MU:
+            sol.eigenvalues = sol.eigenvalues * (1.0 - 1e-9)
+        return sol
+
+    monkeypatch.setattr(checks, "solve_matrix", broken)
+    code, out, _ = run(capsys, "check", "oracle")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == ["FAIL - numeric-hft-kinetic"]
+
+
+def test_hft_derivative_agreement_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import hft
+
+    real = hft._complex_step_derivative
+    monkeypatch.setattr(hft, "_complex_step_derivative",
+                        lambda *args: real(*args) * (1.0 + 1e-10))
+    code, out, _ = run(capsys, "check", "hft")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == ["FAIL - hft-derivative-agreement"]
+
+
 def test_normalization_check_reports_fail(capsys, monkeypatch):
     from hyiqp import checks
 
@@ -287,25 +318,24 @@ def test_cold_commands_import_only_the_scipy_they_use(argv, forbidden):
     assert proc.stdout.strip() == "[]"
 
 
-# SHA-256 of stdout (numpy 2.4.6, scipy 1.17.1).  The unbound H2 pin was
-# recorded before solve_matrix screened out unbound spectra, and the screen
-# must not move a byte of it; the other three were re-recorded when matrix
-# eigenvalues became Rayleigh quotients, which moved their oracle cells
-# closer to mpmath references of the same grid operator
+# SHA-256 of stdout (numpy 2.4.6, scipy 1.17.1).  All four were re-recorded
+# when the machine derivative became a complex step: every machine_derivative
+# cell that moved went closer to a 40-digit mpmath derivative, and check all
+# traded three definitional HFT checks for numeric-hft-kinetic
 PINNED_STDOUT = [
     pytest.param(("expect", "--molecule", "H2", "--observable", "r-2", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
-                 "1a87b79cdc41643db1c863b3c654c60aae843ae0013deb4b18695494668516a6",
+                 "69410b96edbd315f3ec6abe9e3bdd82de517097b220a6ff0f21e77c508cea1da",
                  id="expect-H2-paper-v0-4"),
     pytest.param(("expect", "--molecule", "H2", "--observable", "T", "--oracle"),
-                 "2f50fdc8302aedfc3b03c82a85e7e1a2e2b32162beccc02c864c9ad08de32c30",
+                 "2e30cb091980f71c1ec6b0c8b7fba5c16bc9276a9b690648873b78eacd04f857",
                  id="expect-H2-physical-unbound"),
     pytest.param(("expect", "--molecule", "HCl", "--observable", "T", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
-                 "aae115621e2e0190ddbf678c1eeded132294c3e87edca49bb93992d1570f3d2d",
+                 "afaf700f550afe3205cfa129a3d81bf5a0b6d053c467942d8fb39d1b8d338319",
                  id="expect-HCl-paper-v0-4"),
     pytest.param(("check", "all"),
-                 "2bde524389516d3f66a29063d7a15032ad77513b3eba59fbe0b2ad36b0ace841",
+                 "1490006c7d56babb680fb1ccec52d26fe7200416ac1c09f238971d2f054c606c",
                  id="check-all"),
 ]
 

@@ -11,7 +11,7 @@ from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
 from hyiqp.oracle import (NumerovResult, OracleConfig, _level_counter,
                           _numerov_sweep, default_config, expectation_numeric,
-                          solution_to_csv, solve_matrix, solve_numerov)
+                          solve_matrix, solve_numerov)
 from hyiqp.potential import PotentialParams, effective_potential
 
 ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
@@ -313,18 +313,6 @@ def test_expectation_numeric_validation():
 def test_solve_matrix_validation():
     with pytest.raises(DomainError):
         solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 0, PAPER)
-
-
-def test_solution_csv_dump():
-    cfg = OracleConfig(r_min=1e-7, r_max=1.1, n_points=1000)
-    sol = solve_matrix(ANCHOR, 0, 1.0, cfg, 2, PAPER)
-    text = solution_to_csv(sol)
-    lines = text.strip().splitlines()
-    assert lines[0] == "r,u0,u1"
-    assert len(lines) == 1 + sol.grid.size
-    assert float(lines[1].split(",")[0]) == pytest.approx(sol.grid[0], rel=1e-12)
-    # dump is deterministic
-    assert text == solution_to_csv(sol)
 
 
 def _unscreened(p, l, mu, cfg, k_states, constants):
