@@ -9,6 +9,10 @@ wave-function figures), ``check`` (verification suites), ``molecules``
 Output is deterministic: fixed row ordering, floats at 12 significant
 digits, no timestamps.  Exit codes: 0 success, 1 check failure, 2 domain
 error, 3 unknown molecule/table lookup.
+
+``checks`` and ``oracle`` import numpy at module level and are imported by
+the commands that use them, so ``energy``, ``table``, ``expect`` without
+``--oracle`` and ``molecules`` load no numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ import argparse
 import json
 import sys
 
-from . import checks
 from .constants import PAPER, for_mode, get_molecule, registry
 from .errors import DomainError, HyiqpError, UnknownMoleculeError
 from .hft import OBSERVABLES, expectation_report
-from .oracle import default_config, solve_matrix
 from .potential import PotentialParams
 from .spectrum import WAVEFUNCTION_CONVENTIONS, energy
 from .tables import (MISSING_TABLE_IDS, TABLE_SPECS, figure_potential_data,
@@ -138,6 +140,8 @@ def cmd_expect(args) -> int:
     mol = get_molecule(args.molecule)
     oracle_solutions = None
     if args.oracle:
+        from .oracle import default_config, solve_matrix
+
         p = PotentialParams.from_molecule(mol, v0=args.v0)
         cfg = default_config(mol.alpha, n_points=args.oracle_points)
         oracle_solutions = {
@@ -203,6 +207,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks
+
     results = checks.run_suite(args.suite)
     failed = [r for r in results if not r.ok]
     for r in results:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 
 from .constants import Molecule, PhysicalConstants, hbar2_over_2mu, mu_energy_units
 from .errors import DomainError
-from .oracle import expectation_numeric
 from .potential import PotentialParams
 from .spectrum import _energy_pieces, energy_value
 
@@ -188,6 +187,8 @@ def expectation_report(molecule: Molecule, observable: str, n_max: int = 8,
     if n_max > 12 or l_max > 12:
         raise DomainError("report grids are limited to n_max, l_max <= 12")
     oracle_obs = {"r-2": "r_m2", "r-1": "r_m1_screened", "T": "kinetic", "p2": "p2"}
+    if oracle_solutions is not None:
+        from .oracle import expectation_numeric
     p = PotentialParams.from_molecule(molecule, v0=v0)
     rows = []
     for n in range(n_max + 1):

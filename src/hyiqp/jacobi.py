@@ -13,8 +13,6 @@ or 2, as in the B = 0, l = 0 states of the ``weight`` and ``literal``
 conventions.
 """
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -30,6 +28,8 @@ def jacobi(n: int, alpha: float, beta: float, x):
     """P_n^(alpha, beta)(x) by the explicit binomial sum; shape follows x."""
     if n < 0 or n != int(n):
         raise DomainError(f"polynomial degree must be a non-negative integer, got {n}")
+    import numpy as np
+
     n = int(n)
     x = np.asarray(x, dtype=float)
     half_minus = (x - 1.0) / 2.0

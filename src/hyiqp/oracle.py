@@ -7,11 +7,10 @@ exponential-ratio surrogate anywhere) on a uniform grid with Dirichlet ends:
 
 Two methods are provided.  ``solve_matrix`` builds the symmetric
 tridiagonal second-order central-difference Hamiltonian and extracts the
-lowest eigenpairs (LAPACK, via scipy.linalg.eigh_tridiagonal): bisection
-only far enough to isolate each level, inverse iteration for its vector,
-and the vector's Rayleigh quotient as the eigenvalue, accurate to second
-order in the vector's error (Parlett, The Symmetric Eigenvalue Problem,
-ch. 4).  When only bound states are wanted, an inertia screen runs first:
+lowest eigenpairs (LAPACK dstebz and dstein): bisection only far enough
+to isolate each level, inverse iteration for its vector, and the vector's
+Rayleigh quotient as the eigenvalue, accurate to second order in the
+vector's error (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  When only bound states are wanted, an inertia screen runs first:
 if the LDL^T factorization (LAPACK dpttrf) of H - (C + delta) I succeeds,
 that matrix is positive definite, no level lies below the asymptote C, and
 the eigensolve, which would have dropped every level it found, is skipped.
@@ -144,7 +143,11 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
 
     States at or above the potential's asymptote C are box artifacts, not
     bound states; by default they are dropped with a diagnostic, and the
-    bound subset (possibly empty) is returned.
+    bound subset (possibly empty) is returned.  stein then runs only on the
+    shifts at or below C + ISOLATION_TOL max(1, |C|), which hold every level
+    below C: it draws its start vectors in order and orthogonalizes each only
+    against the ones before it, so the vectors it returns are bit for bit the
+    leading ones of a call on all k_states shifts.
 
     When dropping them, one LDL^T factorization (LAPACK dpttrf) of
     H - (C + delta) I comes first, delta = eig_tol max(1, |C|) + 8 eps ||H||.
@@ -159,8 +162,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     eigensolve put 1e-10 below C).  A failed factorization stops at its
     first non-positive pivot, and the eigensolve runs as before.
     """
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.lapack import dpttrf
+    from scipy.linalg.lapack import dpttrf, dstebz, dstein
     if k_states < 1:
         raise DomainError("k_states must be at least 1")
     _full, r, h = _interior_grid(cfg)
@@ -175,9 +177,22 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     if below_asymptote_only and dpttrf(diag - shift, off)[2] == 0:
         eigenvalues, vectors = np.empty(0), None
     else:
-        _shifts, vectors = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, k_states - 1),
-            tol=ISOLATION_TOL * max(1.0, abs(p.c)))
+        if not np.isfinite(norm):
+            raise DomainError("the effective potential is not finite on the grid")
+        tol = ISOLATION_TOL * max(1.0, abs(p.c))
+        # range 2 = levels il..iu (1-based); order "B" is ascending for the
+        # one block a nonzero off-diagonal leaves
+        m, shifts, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k_states,
+                                                 tol, "B")
+        if info != 0:
+            raise ConvergenceError(f"LAPACK dstebz failed (info={info})")
+        shifts = shifts[:m]
+        if below_asymptote_only:
+            shifts = shifts[shifts <= p.c + tol]
+        vectors, info = dstein(diag, off, shifts, iblock, isplit)
+        if info != 0:
+            raise ConvergenceError(f"inverse iteration (LAPACK dstein) did not converge "
+                                   f"for {info} of {shifts.size} eigenvectors")
         eigenvalues = np.array([_rayleigh_quotient(u, v_eff, h2m / h**2)
                                 for u in vectors.T])
 
@@ -215,20 +230,36 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     )
 
 
-def _numerov_sweep(d: np.ndarray, ends) -> np.ndarray:
+def _sweep_bands(ends) -> list[np.ndarray]:
+    """Banded storage of each block of _numerov_sweep, block i ending before ends[i].
+
+    Fortran-ordered, so dtbtrs takes it without a copy.  The second row, the
+    sub-diagonal, is rewritten by every sweep; the rest is fixed.
+    """
+    bands = []
+    start = 0
+    for end in ends:
+        ab = np.ones((3, end - start), order="F")
+        ab[1, 0] = 0.0
+        bands.append(ab)
+        start = end - 2
+    return bands
+
+
+def _numerov_sweep(d: np.ndarray, bands) -> np.ndarray:
     """Outward solution of y[k+2] = d[k] y[k+1] - y[k] from y[0] = 0, y[1] = 1.
 
-    Block i, ending before ends[i], is one LAPACK dtbtrs solve of this unit
-    lower-triangular recurrence, started from the last pair of block i-1
-    divided by its larger magnitude: y keeps its signs but not its scale.
+    Each block of bands (_sweep_bands) is one LAPACK dtbtrs solve of this
+    unit lower-triangular recurrence, started from the last pair of the
+    block before divided by its larger magnitude: y keeps its signs but not
+    its scale.
     """
     from scipy.linalg.lapack import dtbtrs
     y = np.zeros(d.size + 2)
     y[1] = 1.0
     start = 0
-    for end in ends:
-        ab = np.ones((3, end - start))
-        ab[1, 0] = 0.0
+    for ab in bands:
+        end = start + ab.shape[1]
         ab[1, 1:-1] = -d[start:end - 2]
         b = np.zeros((end - start, 1))
         pair = y[start:start + 2]
@@ -265,12 +296,12 @@ def _level_counter(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     steepest = np.maximum(np.abs(coefficients(e_floor)),
                           np.abs(coefficients(max(hi, e_floor))))
     block = np.cumsum(np.arccosh(np.maximum(steepest / 2.0, 1.0))) // np.log(1e250)
-    ends = np.append(np.flatnonzero(np.diff(block)) + 3, v_eff.size + 2)
+    bands = _sweep_bands(np.append(np.flatnonzero(np.diff(block)) + 3, v_eff.size + 2))
 
     def count(e):
         if e <= v_floor:
             return 0
-        y = _numerov_sweep(coefficients(e), ends)
+        y = _numerov_sweep(coefficients(e), bands)
         return int(np.count_nonzero(np.diff(np.signbit(y))))
 
     return count

@@ -8,14 +8,13 @@ with screening parameter a = alpha.  Zeroing (A, B, C) leaves the Hulthen
 well, zeroing (V0, B, C) the Yukawa well, and zeroing (V0, A, C) the
 inverse-quadratic barrier.  All evaluation is pointwise and pure; r must be
 strictly positive because both the Hulthen denominator and 1/r^2 are
-singular at the origin.
+singular at the origin.  numpy is imported by the functions that use it,
+so the closed form, which needs only PotentialParams, loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import PhysicalConstants, Molecule, hbar2_over_2mu
 from .errors import DomainError
@@ -42,6 +41,8 @@ class PotentialParams:
 
 
 def _check_r(r):
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("r must be strictly positive")
@@ -50,6 +51,8 @@ def _check_r(r):
 
 def potential(r, p: PotentialParams):
     """Full combined potential at r (scalar or array)."""
+    import numpy as np
+
     r = _check_r(r)
     e2 = np.exp(-2.0 * p.alpha * r)
     v = -p.v0 * e2 / (1.0 - e2) - p.a * np.exp(-p.alpha * r) / r + p.b / r**2 + p.c
@@ -77,6 +80,8 @@ def greene_aldrich_inv_r2(r, alpha: float):
     """Exponential-ratio surrogate for 1/r^2, valid for small alpha*r."""
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
+    import numpy as np
+
     r = _check_r(r)
     e2 = np.exp(-2.0 * alpha * r)
     v = 4.0 * alpha**2 * e2 / (1.0 - e2) ** 2
@@ -94,6 +99,8 @@ def greene_aldrich_inv_r(r, alpha: float):
     """
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
+    import numpy as np
+
     r = _check_r(r)
     v = 2.0 * alpha * np.exp(-alpha * r) / (1.0 - np.exp(-2.0 * alpha * r))
     return v if v.ndim else float(v)
@@ -104,6 +111,8 @@ def effective_potential(r, p: PotentialParams, l: int, mu: float,
     """Combined potential plus the exact centrifugal term l(l+1) hbar^2/(2 mu r^2)."""
     if l < 0:
         raise DomainError("l must be non-negative")
+    import numpy as np
+
     r = _check_r(r)
     v = potential(r, p) + hbar2_over_2mu(mu, constants) * l * (l + 1) / r**2
     return v if np.ndim(v) else float(v)
@@ -116,6 +125,8 @@ def potential_curves(p: PotentialParams, r_min: float = 0.05, r_max: float = 10.
     Used for figure emission; the three partial curves use the same
     parameter values as the combined one.
     """
+    import numpy as np
+
     r = np.linspace(r_min, r_max, n_points)
     return (
         r,

@@ -44,8 +44,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import PhysicalConstants, hbar2_over_2mu
 from .errors import ConvergenceError, DomainError, UnsupportedRegimeError
 from .jacobi import jacobi
@@ -355,6 +353,7 @@ def normalization_constant(p: PotentialParams, mu: float, n: int, l: int,
     res, sqrt_p, a_exp, b_exp = _psi_factors(p, mu, n, l, constants, convention)
     mean = 1.0
     if n > 0:
+        import numpy as np
         from scipy.special import roots_jacobi
 
         # only the nodes are used: the weights overflow with 2^(2sqrtP) for sqrtP > ~500
@@ -385,6 +384,8 @@ def wavefunction(r, p: PotentialParams, mu: float, n: int, l: int,
     The s-exponent is the principal square root, so the state decays at
     large r regardless of which branch solved the quantization.
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("r must be strictly positive")
@@ -408,6 +409,8 @@ def probability_density(r, p: PotentialParams, mu: float, n: int, l: int,
 
 def count_sign_changes(values, threshold_ratio: float = 1e-12) -> int:
     """Count strict sign changes, ignoring magnitudes below a relative floor."""
+    import numpy as np
+
     v = np.asarray(values, dtype=float)
     keep = np.abs(v) > threshold_ratio * np.max(np.abs(v))
     signs = np.sign(v[keep])

@@ -24,8 +24,6 @@ import io
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .constants import PAPER, PhysicalConstants, get_molecule
 from .errors import DomainError
 from .hft import ReportRow, expectation_report
@@ -180,6 +178,8 @@ def figure_potential_data(figure_id: int, p: PotentialParams, *,
     if figure_id == 1:
         if len(alphas) != 4:
             raise DomainError("figure 1 needs exactly four alpha values")
+        import numpy as np
+
         r = np.linspace(r_min, r_max, n_points)
         cols = [potential(r, PotentialParams(p.v0, p.a, p.b, p.c, alpha=a))
                 for a in alphas]
@@ -205,8 +205,11 @@ def figure_wavefunction_data(figure_id: int, constants: PhysicalConstants, *,
     """
     if not 3 <= figure_id <= 9:
         raise DomainError("wave-function figures are 3..9")
+    import numpy as np
+
     l_values = range(6) if figure_id == 9 else (figure_id - 3,)
     r = np.linspace(r_min, r_max, n_points)
+    r_cells = r.tolist()
     rows = []
     for name in FIGURE_MOLECULES:
         mol = get_molecule(name)
@@ -214,8 +217,8 @@ def figure_wavefunction_data(figure_id: int, constants: PhysicalConstants, *,
         for l in l_values:
             psi = wavefunction(r, p, mol.mu, n, l, constants,
                                normalized=True, convention=convention)
-            dens = psi**2
-            for i in range(r.size):
-                rows.append((name, l, n, r[i], psi[i], dens[i]))
+            # Python floats format faster than numpy scalars, to the same digits
+            for r_i, psi_i, dens_i in zip(r_cells, psi.tolist(), (psi**2).tolist()):
+                rows.append((name, l, n, r_i, psi_i, dens_i))
     meta = {"convention": convention, "n": str(n), "v0": f"{v0:.12g}"}
     return ("molecule", "l", "n", "r", "psi", "density"), rows, meta

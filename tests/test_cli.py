@@ -290,32 +290,57 @@ def test_fmt_12_significant_digits():
     assert fmt(-0.125) == "-0.125"
 
 
-@pytest.mark.parametrize("argv, forbidden", [
-    pytest.param(["energy", "--molecule", "CO", "--n", "3", "--l", "2"],
-                 ("scipy.integrate", "scipy.special", "scipy.linalg"), id="energy"),
-    pytest.param(["figure", "9"], ("scipy",), id="figure-9"),
-    pytest.param(["check", "all"], ("scipy.integrate",), id="check-all"),
+TABLE_IDS = ["2", "2b"] + [str(i) for i in range(3, 18)]
+
+
+@pytest.mark.parametrize("argvs, forbidden", [
+    pytest.param([], ("numpy", "scipy"), id="import-hyiqp"),
+    pytest.param([["energy", "--molecule", "CO", "--n", "3", "--l", "2"]],
+                 ("numpy", "scipy"), id="energy"),
+    pytest.param([["table", t] for t in TABLE_IDS], ("numpy", "scipy"), id="table"),
+    pytest.param([["expect", "--molecule", "HCl", "--observable", "T"]],
+                 ("numpy", "scipy"), id="expect"),
+    pytest.param([["molecules"]], ("numpy", "scipy"), id="molecules"),
+    pytest.param([["figure", "9"]], ("scipy",), id="figure-9"),
+    pytest.param([["check", "all"]], ("scipy.integrate",), id="check-all"),
 ])
-def test_cold_commands_import_only_the_scipy_they_use(argv, forbidden):
-    # a scipy subpackage costs a cold CLI call more than the physics it
-    # serves: the closed form needs none, the figures' ground states are
-    # normalized without Gauss-Jacobi nodes, and the normalization re-check
-    # integrates with numpy's Gauss-Legendre rule
+def test_cold_commands_import_only_the_numpy_and_scipy_they_use(argvs, forbidden):
+    # an import costs a cold CLI call more than the physics it serves: the
+    # closed form is scalar math and needs neither numpy nor scipy, the
+    # figures' ground states are normalized without Gauss-Jacobi nodes, and
+    # the normalization re-check integrates with numpy's Gauss-Legendre rule
     src = Path(__file__).resolve().parents[1] / "src"
     prefixes = tuple(name + "." for name in forbidden)
     script = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
+        "import hyiqp\n"
         "import hyiqp.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = hyiqp.cli.main({argv!r})\n"
-        "assert code == 0\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert hyiqp.cli.main(argv) == 0, argv\n"
         f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefixes!r})))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # the grid-oracle names are resolved lazily, on first access
+    import hyiqp
+    from hyiqp import oracle
+
+    namespace = {}
+    exec("from hyiqp import *", namespace)
+    for name in hyiqp.__all__:
+        assert namespace[name] is getattr(hyiqp, name)
+    for name in hyiqp._ORACLE_NAMES:
+        assert name in hyiqp.__all__
+        assert namespace[name] is getattr(oracle, name)
+    with pytest.raises(AttributeError, match="no attribute 'solve_schroedinger'"):
+        hyiqp.solve_schroedinger
 
 
 # SHA-256 of stdout (numpy 2.4.6, scipy 1.17.1).  All four were re-recorded

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
-from hyiqp.oracle import (NumerovResult, OracleConfig, _level_counter,
-                          _numerov_sweep, default_config, expectation_numeric,
-                          solve_matrix, solve_numerov)
+from hyiqp.oracle import (ISOLATION_TOL, NumerovResult, OracleConfig, _level_counter,
+                          _numerov_sweep, _rayleigh_quotient, _sweep_bands,
+                          default_config, expectation_numeric, solve_matrix,
+                          solve_numerov)
 from hyiqp.potential import PotentialParams, effective_potential
 
 ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
@@ -189,7 +190,7 @@ def test_banded_sweeps_match_the_recurrence(p, l, mu, cfg, constants, k):
     # each block starts from the last pair of the one before, rescaled: undo
     # that positive factor on the stretch up to the next start
     ends = np.append(np.arange(250, d.size + 2, 250), d.size + 2)
-    y = _numerov_sweep(d, ends)
+    y = _numerov_sweep(d, _sweep_bands(ends))
     starts = np.append(0, ends[:-1] - 2)
     for start, end in zip(starts, np.append(starts[1:], y.size)):
         i = start + int(np.argmax(np.abs(ref[start:end])))
@@ -313,6 +314,9 @@ def test_expectation_numeric_validation():
 def test_solve_matrix_validation():
     with pytest.raises(DomainError):
         solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 0, PAPER)
+    # alpha r rounds 1 - exp(-2 alpha r) to 0: the Hulthen term is -inf
+    with np.errstate(divide="ignore"), pytest.raises(DomainError, match="not finite"):
+        solve_matrix(PotentialParams(1.0, 0.0, 0.0, 0.0, 1e-300), 0, 1.0, ANCHOR_CFG, 1, PAPER)
 
 
 def _unscreened(p, l, mu, cfg, k_states, constants):
@@ -443,9 +447,9 @@ def test_screen_is_exact_at_the_binding_threshold(make, l, mu, cfg, constants, l
 
 def test_screen_skips_the_eigensolve_when_nothing_is_bound(monkeypatch):
     def no_eigensolve(*args, **kwargs):
-        raise AssertionError("eigh_tridiagonal called")
+        raise AssertionError("dstebz called")
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", no_eigensolve)
     h2 = get_molecule("H2")
     p = PotentialParams.from_molecule(h2, v0=0.0)
     sol = solve_matrix(p, 0, h2.mu, OracleConfig(), 2, PAPER)
@@ -456,5 +460,31 @@ def test_screen_skips_the_eigensolve_when_nothing_is_bound(monkeypatch):
         f"only 0 of 2 requested states lie below the asymptote C={p.c:.6g}; "
         "unbound box states dropped"]
     # a bound spectrum still needs the eigensolve
-    with pytest.raises(AssertionError, match="eigh_tridiagonal called"):
+    with pytest.raises(AssertionError, match="dstebz called"):
         solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 1, PAPER)
+
+
+@pytest.mark.parametrize("l, bound", [(0, 5), (1, 5), (2, 4), (3, 3)])
+def test_kept_vectors_are_the_leading_vectors_of_a_full_stein_call(l, bound):
+    # stein runs only on the shifts that can lie below C; its start vectors
+    # and reorthogonalization go in order, so the kept vectors are the
+    # leading columns of a call on all nine shifts, bit for bit
+    hcl = get_molecule("HCl")
+    p = PotentialParams.from_molecule(hcl, v0=4.0)
+    cfg = default_config(hcl.alpha)
+    sol = solve_matrix(p, l, hcl.mu, cfg, 9, PAPER)
+    v_eff, c = _operator(p, l, hcl.mu, cfg, PAPER)
+    diag, off = 2.0 * c + v_eff, np.full(v_eff.size - 1, -c)
+    m, shifts, iblock, isplit, info = scipy.linalg.lapack.dstebz(
+        diag, off, 2, 0.0, 1.0, 1, 9, ISOLATION_TOL * max(1.0, abs(p.c)), "B")
+    assert (m, info) == (9, 0)
+    vectors, info = scipy.linalg.lapack.dstein(diag, off, shifts[:m], iblock, isplit)
+    assert info == 0
+    assert len(sol.eigenvalues) == bound
+    for k in range(bound):
+        u = vectors[:, k]
+        assert sol.eigenvalues[k] == _rayleigh_quotient(u, v_eff, c)
+        u = u / np.sqrt(np.trapezoid(u * u, sol.grid))
+        if u[int(np.argmax(np.abs(u)))] < 0.0:
+            u = -u
+        assert np.array_equal(sol.eigenvectors[k], u)
