@@ -37,7 +37,7 @@ up = solve_matrix(PotentialParams(2.0, +h_a, 0.0, 0.0, 0.05), 0, 1.0, cfg, 1, PA
 dn = solve_matrix(PotentialParams(2.0, -h_a, 0.0, 0.0, 0.05), 0, 1.0, cfg, 1, PAPER)
 de_da = (up.eigenvalues[0] - dn.eigenvalues[0]) / (2 * h_a)
 screened = expectation_numeric(sol, 0, "r_m1_screened")
-print(f"  quadrature <e^-ar / r> = {screened:.6f}")
+print(f"  discrete mean <e^-ar / r> = {screened:.6f}")
 print(f"  -dE/dA by perturbed re-solve = {-de_da:.6f}")
 
 print()

@@ -23,6 +23,11 @@ resolve the barrier.  The two methods' disagreement measures pure
 discretization error; their agreement with the closed forms measures the
 surrogate approximation embedded there.
 
+One quadrature rule serves every grid integral: h sum u^2 f over the
+interior points, the full-grid trapezoid with u = 0 at both walls.  Its mean
+sum u^2 f / sum u^2 is u^T (dH/dq) u / u^T u for the strength q of f in H, so
+by Hellmann-Feynman for the matrix it is the exact dE/dq of the grid level.
+
 Deep Coulomb-like states are sensitive to the inner Dirichlet wall: the
 eigenvalue shift scales as (hbar^2/2mu) |u'(r_min)|^2 r_min, about 1.6e-3
 energy units per 1e-7 of r_min for the screened-well sanity configuration.
@@ -82,8 +87,8 @@ class RadialGridSolution:
     """Bound eigenpairs of one (potential, l) problem on the grid.
 
     grid holds the interior points; each eigenvalue is the Rayleigh quotient
-    of its eigenvector, which is trapezoid-normalized on the grid and
-    sign-fixed (positive at its largest lobe) for determinism.
+    of its eigenvector, which is normalized to h sum u^2 = 1 (the module's
+    rule) and sign-fixed (positive at its largest lobe) for determinism.
     """
 
     grid: np.ndarray
@@ -210,7 +215,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     nodes = []
     for k in keep:
         u = vectors[:, k].astype(float)
-        u /= np.sqrt(np.trapezoid(u * u, r))
+        u /= np.sqrt(h * np.sum(u * u))
         if u[int(np.argmax(np.abs(u)))] < 0.0:
             u = -u
         vecs.append(u)
@@ -349,24 +354,26 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
 
 
 def expectation_numeric(sol: RadialGridSolution, state: int, observable: str) -> float:
-    """Trapezoid expectation of one observable on a solved state.
+    """Discrete Hellmann-Feynman mean of one observable on a solved state.
 
-    kinetic is taken as E - <V_eff> (no differentiation of the eigenvector);
-    p2 is 2 mu <T> with mu in the unit mode's energy convention.
+    Each mean is sum u^2 f / sum u^2, the module's rule, and so the derivative
+    of the grid level itself: r_m2 is dE/dB and r_m1_screened -dE/dA (an
+    interior-point trapezoid missed those by ~1e-6 on the anchor).  kinetic is
+    E - <V_eff>, the kinetic part of the Rayleigh quotient, which is -mu dE/dmu
+    less the centrifugal mean in V_eff; p2 is 2 mu <T> with mu in the unit
+    mode's energy convention.
     """
     if not 0 <= state < len(sol.eigenvalues):
         raise DomainError(
             f"state {state} out of range; solution holds {len(sol.eigenvalues)} states")
-    r = sol.grid
-    u = sol.eigenvectors[state]
-    norm = np.trapezoid(u * u, r)
+    r, u2 = sol.grid, sol.eigenvectors[state] ** 2
+    norm = np.sum(u2)
     if observable == "r_m2":
-        return float(np.trapezoid(u * u / r**2, r) / norm)
+        return float(np.sum(u2 / r**2) / norm)
     if observable == "r_m1_screened":
-        return float(np.trapezoid(u * u * np.exp(-sol.params.alpha * r) / r, r) / norm)
+        return float(np.sum(u2 * np.exp(-sol.params.alpha * r) / r) / norm)
     if observable in ("kinetic", "p2"):
-        mean_v = np.trapezoid(u * u * sol.v_eff, r) / norm
-        kinetic = float(sol.eigenvalues[state] - mean_v)
+        kinetic = float(sol.eigenvalues[state] - np.sum(u2 * sol.v_eff) / norm)
         if observable == "kinetic":
             return kinetic
         return 2.0 * mu_energy_units(sol.mu, sol.constants) * kinetic

@@ -33,7 +33,7 @@ SUITES = {
         "box-calibration", "grid-convergence-order", "hydrogenic-limit",
         "anchor-analytic-vs-matrix", "anchor-matrix-vs-numerov", "anchor-numerov-nodes",
         "anchor-node-counts", "numeric-hft-independence", "numeric-hft-r_m2",
-        "numeric-hft-kinetic", "numeric-positivity",
+        "numeric-hft-kinetic", "anchor-kinetic-vs-closed-form",
         "unbound-molecule-diagnostic",
     ]),
 }

@@ -246,6 +246,52 @@ def test_numeric_hft_kinetic_check_reports_fail(capsys, monkeypatch):
     assert failed == ["FAIL - numeric-hft-kinetic"]
 
 
+@pytest.mark.parametrize("name, solve, factor", [
+    # the +A anchor levels 1e-9 of themselves higher: dE/dA moves by ~1e-3
+    pytest.param("numeric-hft-independence", lambda p: p.v0 == 2.0 and p.a > 0.0,
+                 1.0 - 1e-9, id="numeric-hft-independence"),
+    # the box levels 1e-5 of themselves high; the grid puts them 4.9e-8 off
+    pytest.param("box-calibration", lambda p: p.alpha == 1.0, 1.0 + 1e-5,
+                 id="box-calibration"),
+    # the weak-screening level 5e-3 of itself lower; screening puts it 2e-4 high
+    pytest.param("hydrogenic-limit", lambda p: p.alpha == 1e-4, 1.0 + 5e-3,
+                 id="hydrogenic-limit"),
+])
+def test_tightened_oracle_checks_report_fail(capsys, monkeypatch, name, solve, factor):
+    from hyiqp import checks
+
+    real = checks.solve_matrix
+
+    def broken(p, *args, **kwargs):
+        sol = real(p, *args, **kwargs)
+        if solve(p):
+            sol.eigenvalues = sol.eigenvalues * factor
+        return sol
+
+    monkeypatch.setattr(checks, "solve_matrix", broken)
+    code, out, _ = run(capsys, "check", "oracle")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == [f"FAIL - {name}"]
+
+
+def test_anchor_kinetic_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import checks
+
+    real = checks.d_energy_d_param
+
+    def broken(*args):
+        # the closed-form dE/dmu 1e-3 of itself high, ten times the tolerance
+        d = real(*args)
+        return dataclasses.replace(d, analytic=d.analytic * (1.0 + 1e-3))
+
+    monkeypatch.setattr(checks, "d_energy_d_param", broken)
+    code, out, _ = run(capsys, "check", "oracle")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == ["FAIL - anchor-kinetic-vs-closed-form"]
+
+
 def test_hft_derivative_agreement_check_reports_fail(capsys, monkeypatch):
     from hyiqp import hft
 
@@ -343,24 +389,26 @@ def test_every_exported_name_resolves():
         hyiqp.solve_schroedinger
 
 
-# SHA-256 of stdout (numpy 2.4.6, scipy 1.17.1).  All four were re-recorded
-# when the machine derivative became a complex step: every machine_derivative
-# cell that moved went closer to a 40-digit mpmath derivative, and check all
-# traded three definitional HFT checks for numeric-hft-kinetic
+# SHA-256 of stdout (numpy 2.4.6, scipy 1.17.1).  The two bound expect
+# --oracle pins and check all were re-recorded when the oracle's means became
+# discrete Hellmann-Feynman means: every oracle cell that moved now equals the
+# derivative of its own grid level to the central difference's 7e-10, and
+# moved by less than its grid-step error; check all traded numeric-positivity
+# for anchor-kinetic-vs-closed-form and tightened three tolerances
 PINNED_STDOUT = [
     pytest.param(("expect", "--molecule", "H2", "--observable", "r-2", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
-                 "69410b96edbd315f3ec6abe9e3bdd82de517097b220a6ff0f21e77c508cea1da",
+                 "32af1a727fd7427ad364bbd5a4e56d8f74b7dbeac50d083883efc1ff8caa2fdc",
                  id="expect-H2-paper-v0-4"),
     pytest.param(("expect", "--molecule", "H2", "--observable", "T", "--oracle"),
                  "2e30cb091980f71c1ec6b0c8b7fba5c16bc9276a9b690648873b78eacd04f857",
                  id="expect-H2-physical-unbound"),
     pytest.param(("expect", "--molecule", "HCl", "--observable", "T", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
-                 "afaf700f550afe3205cfa129a3d81bf5a0b6d053c467942d8fb39d1b8d338319",
+                 "825df786cebdf1ee59e3e3e6fef4a003fc7f58278afb4185129fc29e2cc88215",
                  id="expect-HCl-paper-v0-4"),
     pytest.param(("check", "all"),
-                 "1490006c7d56babb680fb1ccec52d26fe7200416ac1c09f238971d2f054c606c",
+                 "2347bfafda5ce524e46becf49b929b1ee161b7dfedfa573a0ecc2d36656e6e16",
                  id="check-all"),
 ]
 

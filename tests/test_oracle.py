@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -70,9 +71,11 @@ def test_anchor_matrix_matches_exact_spectrum():
 
 
 def test_anchor_eigenvectors_are_normalized():
+    # the full-grid trapezoid with u = 0 at both walls
     sol = solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 3, PAPER)
+    h = sol.grid[1] - sol.grid[0]
     for u in sol.eigenvectors:
-        assert np.trapezoid(u * u, sol.grid) == pytest.approx(1.0, abs=1e-8)
+        assert h * np.sum(u * u) == pytest.approx(1.0, rel=1e-14)
 
 
 def _operator(p, l, mu, cfg, constants):
@@ -266,7 +269,7 @@ def test_numerov_converges_on_a_bracket_around_a_level(anchor_levels, k, pad):
 
 
 def test_numeric_hft_independence():
-    # quadrature of the screened moment vs a finite difference of the
+    # the discrete mean of the screened moment vs a finite difference of the
     # matrix eigenvalue under an A-perturbation; no closed form anywhere
     sol = solve_matrix(ANCHOR, 0, 1.0, ANCHOR_CFG, 1, PAPER)
     h_a = 1e-4
@@ -276,7 +279,7 @@ def test_numeric_hft_independence():
                          ANCHOR_CFG, 1, PAPER)
     de_da = (plus.eigenvalues[0] - minus.eigenvalues[0]) / (2 * h_a)
     screened = expectation_numeric(sol, 0, "r_m1_screened")
-    assert abs(screened + de_da) / abs(screened) <= 1e-3
+    assert abs(screened + de_da) / abs(screened) <= 1e-8
 
 
 def test_numeric_observables_positive_and_consistent():
@@ -407,6 +410,25 @@ def test_levels_match_a_full_bisection(v0, l, physical, name):
     assert np.all(np.abs(levels - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(v0=st.floats(0.0, 10.0), l=st.integers(0, 3), physical=st.booleans(),
+       name=st.sampled_from(MOLECULES))
+def test_r_m2_is_the_derivative_of_the_grid_level_in_b(v0, l, physical, name):
+    # Hellmann-Feynman for the matrix: the discrete mean of 1/r^2 is dE/dB of
+    # the grid level itself, up to the central difference's error (~1e-10 here)
+    mol = get_molecule(name)
+    constants = PHYSICAL if physical else PAPER
+    p = PotentialParams.from_molecule(mol, v0=v0)
+    cfg = default_config(mol.alpha)
+    sol = solve_matrix(p, l, mol.mu, cfg, 3, constants)
+    step = 1e-5
+    up, down = (solve_matrix(dataclasses.replace(p, b=p.b + s), l, mol.mu, cfg, 3, constants,
+                             below_asymptote_only=False).eigenvalues for s in (step, -step))
+    for k in range(len(sol.eigenvalues)):
+        mean = expectation_numeric(sol, k, "r_m2")
+        assert abs((up[k] - down[k]) / (2.0 * step) - mean) <= 1e-8 * mean
+
+
 def _binding_threshold(make, l, mu, cfg, constants, lo, hi):
     """V0 just either side of where the unscreened lowest level crosses C."""
     def level_above_c(v0):
@@ -481,10 +503,11 @@ def test_kept_vectors_are_the_leading_vectors_of_a_full_stein_call(l, bound):
     vectors, info = scipy.linalg.lapack.dstein(diag, off, shifts[:m], iblock, isplit)
     assert info == 0
     assert len(sol.eigenvalues) == bound
+    h = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)[1] - cfg.r_min
     for k in range(bound):
         u = vectors[:, k]
         assert sol.eigenvalues[k] == _rayleigh_quotient(u, v_eff, c)
-        u = u / np.sqrt(np.trapezoid(u * u, sol.grid))
+        u = u / np.sqrt(h * np.sum(u * u))
         if u[int(np.argmax(np.abs(u)))] < 0.0:
             u = -u
         assert np.array_equal(sol.eigenvectors[k], u)
