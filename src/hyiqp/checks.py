@@ -280,7 +280,7 @@ def check_oracle(constants=PAPER) -> list[CheckResult]:
     for name, q, step, observable, factor, mean_label, slope_label, tol in (
             ("numeric-hft-independence", "a", 1e-4, "r_m1_screened", -1.0,
              "<e^-ar/r>", "-dE/dA", "1e-8"),
-            ("numeric-hft-r_m2", "b", 1e-5, "r_m2", 1.0, "<r^-2>", "dE/dB", "1e-7"),
+            ("numeric-hft-r_m2", "b", 1e-6, "r_m2", 1.0, "<r^-2>", "dE/dB", "1e-8"),
             ("numeric-hft-kinetic", "mu", 1e-5 * ANCHOR_MU, "kinetic", -ANCHOR_MU,
              "<T>", "-mu dE/dmu", "1e-8")):
         slope = factor * _anchor_slope(q, step, 2, constants)

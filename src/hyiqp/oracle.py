@@ -23,6 +23,12 @@ resolve the barrier.  The two methods' disagreement measures pure
 discretization error; their agreement with the closed forms measures the
 surrogate approximation embedded there.
 
+The four LAPACK routines come from scipy's f2py extension
+scipy.linalg._flapack, loaded by file path (_lapack): the compiled objects
+scipy.linalg.lapack exports, so every level and vector is the same, without
+importing scipy.linalg, whose __init__, array-API layer and numpy.f2py cost
+a cold oracle command ~0.3 s of its ~0.9 s and ~20 MB of its ~67 MB peak RSS.
+
 One quadrature rule serves every grid integral: h sum u^2 f over the
 interior points, the full-grid trapezoid with u = 0 at both walls.  Its mean
 sum u^2 f / sum u^2 is u^T (dH/dq) u / u^T u for the strength q of f in H, so
@@ -36,7 +42,11 @@ Tight cross-checks must therefore lower r_min below the default 1e-4.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -113,6 +123,42 @@ class NumerovResult:
     iterations: int
 
 
+def _lapack():
+    """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded by file path.
+
+    It holds the compiled dpttrf, dstebz, dstein and dtbtrs that
+    scipy.linalg.lapack re-exports; importing it through scipy.linalg would
+    also run scipy.linalg's __init__, scipy._lib's array-API layer and
+    numpy.f2py.  Only the scipy package itself is imported, for its location
+    and its platform set-up of the bundled libraries.  The module is
+    registered under its own name, so a later import of scipy.linalg reuses
+    this object, and if scipy.linalg (or this function) loaded it first, that
+    object is returned.  A missing file raises ImportError with the paths
+    looked for; there is no other route to LAPACK.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    directory = Path(scipy.__file__).parent / "linalg"
+    paths = [directory / ("_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError("scipy's LAPACK extension not found; looked for "
+                          + ", ".join(map(str, paths)), name=name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
 def _interior_grid(cfg: OracleConfig):
     full = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)
     return full, full[1:-1], full[1] - full[0]
@@ -167,7 +213,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     eigensolve put 1e-10 below C).  A failed factorization stops at its
     first non-positive pivot, and the eigensolve runs as before.
     """
-    from scipy.linalg.lapack import dpttrf, dstebz, dstein
+    lapack = _lapack()
     if k_states < 1:
         raise DomainError("k_states must be at least 1")
     _full, r, h = _interior_grid(cfg)
@@ -179,7 +225,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     off = np.full(r.size - 1, -h2m / h**2)
     norm = np.max(np.abs(diag)) + 2.0 * h2m / h**2
     shift = p.c + cfg.eig_tol * max(1.0, abs(p.c)) + 8.0 * np.finfo(float).eps * norm
-    if below_asymptote_only and dpttrf(diag - shift, off)[2] == 0:
+    if below_asymptote_only and lapack.dpttrf(diag - shift, off)[2] == 0:
         eigenvalues, vectors = np.empty(0), None
     else:
         if not np.isfinite(norm):
@@ -187,14 +233,14 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
         tol = ISOLATION_TOL * max(1.0, abs(p.c))
         # range 2 = levels il..iu (1-based); order "B" is ascending for the
         # one block a nonzero off-diagonal leaves
-        m, shifts, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k_states,
-                                                 tol, "B")
+        m, shifts, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1,
+                                                        k_states, tol, "B")
         if info != 0:
             raise ConvergenceError(f"LAPACK dstebz failed (info={info})")
         shifts = shifts[:m]
         if below_asymptote_only:
             shifts = shifts[shifts <= p.c + tol]
-        vectors, info = dstein(diag, off, shifts, iblock, isplit)
+        vectors, info = lapack.dstein(diag, off, shifts, iblock, isplit)
         if info != 0:
             raise ConvergenceError(f"inverse iteration (LAPACK dstein) did not converge "
                                    f"for {info} of {shifts.size} eigenvectors")
@@ -259,7 +305,7 @@ def _numerov_sweep(d: np.ndarray, bands) -> np.ndarray:
     block before divided by its larger magnitude: y keeps its signs but not
     its scale.
     """
-    from scipy.linalg.lapack import dtbtrs
+    dtbtrs = _lapack().dtbtrs
     y = np.zeros(d.size + 2)
     y[1] = 1.0
     start = 0
@@ -359,9 +405,10 @@ def expectation_numeric(sol: RadialGridSolution, state: int, observable: str) ->
     Each mean is sum u^2 f / sum u^2, the module's rule, and so the derivative
     of the grid level itself: r_m2 is dE/dB and r_m1_screened -dE/dA (an
     interior-point trapezoid missed those by ~1e-6 on the anchor).  kinetic is
-    E - <V_eff>, the kinetic part of the Rayleigh quotient, which is -mu dE/dmu
-    less the centrifugal mean in V_eff; p2 is 2 mu <T> with mu in the unit
-    mode's energy convention.
+    -mu dE/dmu, every term of H that carries hbar^2/2mu: E - <V_eff>, the
+    radial part of the Rayleigh quotient, plus the centrifugal mean
+    (hbar^2 l(l+1)/2mu) <r^-2> that V_eff holds; p2 is 2 mu <T> with mu in
+    the unit mode's energy convention.
     """
     if not 0 <= state < len(sol.eigenvalues):
         raise DomainError(
@@ -374,6 +421,9 @@ def expectation_numeric(sol: RadialGridSolution, state: int, observable: str) ->
         return float(np.sum(u2 * np.exp(-sol.params.alpha * r) / r) / norm)
     if observable in ("kinetic", "p2"):
         kinetic = float(sol.eigenvalues[state] - np.sum(u2 * sol.v_eff) / norm)
+        if sol.l:
+            kinetic += (hbar2_over_2mu(sol.mu, sol.constants) * sol.l * (sol.l + 1)
+                        * float(np.sum(u2 / r**2) / norm))
         if observable == "kinetic":
             return kinetic
         return 2.0 * mu_energy_units(sol.mu, sol.constants) * kinetic

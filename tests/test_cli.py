@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hyiqp.checks import ANCHOR, ANCHOR_CFG
 from hyiqp.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_LOOKUP, EXIT_OK, fmt, main
 from hyiqp.constants import PHYSICAL, get_molecule
 from hyiqp.potential import PotentialParams
@@ -214,17 +216,23 @@ def test_numeric_hft_r_m2_check_reports_fail(capsys, monkeypatch):
     real = checks.solve_matrix
 
     def broken(p, *args, **kwargs):
-        # the +B levels 1e-9 of themselves higher: dE/dB moves by ~1e-5
+        # the +B levels raised by 3e-8 <r^-2> times the 2e-6 between the two
+        # B values: dE/dB moves by 3e-8 of itself, which the check's 1e-8
+        # catches and a tolerance of 1e-7 would not
         sol = real(p, *args, **kwargs)
         if p.b > 0.0:
-            sol.eigenvalues = sol.eigenvalues * (1.0 - 1e-9)
+            means = [checks.expectation_numeric(sol, k, "r_m2")
+                     for k in range(len(sol.eigenvalues))]
+            sol.eigenvalues = sol.eigenvalues + 3e-8 * 2e-6 * np.array(means)
         return sol
 
     monkeypatch.setattr(checks, "solve_matrix", broken)
     code, out, _ = run(capsys, "check", "oracle")
     assert code == EXIT_CHECK_FAILED
-    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
-    assert failed == ["FAIL - numeric-hft-r_m2"]
+    failed = [ln for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert [ln.split(" (")[0] for ln in failed] == ["FAIL - numeric-hft-r_m2"]
+    worst = float(failed[0].split("worst rel=")[1].split()[0])
+    assert 1e-8 < worst <= 1e-7
 
 
 def test_numeric_hft_kinetic_check_reports_fail(capsys, monkeypatch):
@@ -246,26 +254,50 @@ def test_numeric_hft_kinetic_check_reports_fail(capsys, monkeypatch):
     assert failed == ["FAIL - numeric-hft-kinetic"]
 
 
-@pytest.mark.parametrize("name, solve, factor", [
+def _scaled(factor):
+    def change(sol):
+        sol.eigenvalues = sol.eigenvalues * factor
+    return change
+
+
+def _emptied_diagnostics(sol):
+    sol.diagnostics = []
+
+
+def _reversed_node_counts(sol):
+    sol.node_counts = sol.node_counts[::-1]
+
+
+@pytest.mark.parametrize("name, solve, change", [
     # the +A anchor levels 1e-9 of themselves higher: dE/dA moves by ~1e-3
-    pytest.param("numeric-hft-independence", lambda p: p.v0 == 2.0 and p.a > 0.0,
-                 1.0 - 1e-9, id="numeric-hft-independence"),
+    pytest.param("numeric-hft-independence", lambda p, cfg: p.v0 == 2.0 and p.a > 0.0,
+                 _scaled(1.0 - 1e-9), id="numeric-hft-independence"),
     # the box levels 1e-5 of themselves high; the grid puts them 4.9e-8 off
-    pytest.param("box-calibration", lambda p: p.alpha == 1.0, 1.0 + 1e-5,
+    pytest.param("box-calibration", lambda p, cfg: p.alpha == 1.0, _scaled(1.0 + 1e-5),
                  id="box-calibration"),
     # the weak-screening level 5e-3 of itself lower; screening puts it 2e-4 high
-    pytest.param("hydrogenic-limit", lambda p: p.alpha == 1e-4, 1.0 + 5e-3,
+    pytest.param("hydrogenic-limit", lambda p, cfg: p.alpha == 1e-4, _scaled(1.0 + 5e-3),
                  id="hydrogenic-limit"),
+    # the finest of the three grids 1e-6 of itself lower: the last of the
+    # two level differences grows from 7.2e-4 to 9.2e-4, the order reads 1.65
+    pytest.param("grid-convergence-order", lambda p, cfg: cfg.n_points == 10000,
+                 _scaled(1.0 + 1e-6), id="grid-convergence-order"),
+    # the anchor's three levels reported with their node counts reversed
+    pytest.param("anchor-node-counts", lambda p, cfg: p == ANCHOR and cfg == ANCHOR_CFG,
+                 _reversed_node_counts, id="anchor-node-counts"),
+    # the empty H2 spectrum without the diagnostic that explains it
+    pytest.param("unbound-molecule-diagnostic", lambda p, cfg: p.c == get_molecule("H2").c,
+                 _emptied_diagnostics, id="unbound-molecule-diagnostic"),
 ])
-def test_tightened_oracle_checks_report_fail(capsys, monkeypatch, name, solve, factor):
+def test_tightened_oracle_checks_report_fail(capsys, monkeypatch, name, solve, change):
     from hyiqp import checks
 
     real = checks.solve_matrix
 
-    def broken(p, *args, **kwargs):
-        sol = real(p, *args, **kwargs)
-        if solve(p):
-            sol.eigenvalues = sol.eigenvalues * factor
+    def broken(p, l, mu, cfg, *args, **kwargs):
+        sol = real(p, l, mu, cfg, *args, **kwargs)
+        if solve(p, cfg):
+            change(sol)
         return sol
 
     monkeypatch.setattr(checks, "solve_matrix", broken)
@@ -273,6 +305,19 @@ def test_tightened_oracle_checks_report_fail(capsys, monkeypatch, name, solve, f
     assert code == EXIT_CHECK_FAILED
     failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
     assert failed == [f"FAIL - {name}"]
+
+
+def test_anchor_analytic_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import checks
+
+    real = checks.energy_hulthen
+    # the exact anchor levels 2e-4 of themselves low, twice the tolerance;
+    # the Numerov bracket, halfway to the neighbouring levels, still holds one
+    monkeypatch.setattr(checks, "energy_hulthen", lambda *args: real(*args) * (1.0 + 2e-4))
+    code, out, _ = run(capsys, "check", "oracle")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == ["FAIL - anchor-analytic-vs-matrix"]
 
 
 def test_anchor_kinetic_check_reports_fail(capsys, monkeypatch):
@@ -339,24 +384,35 @@ def test_fmt_12_significant_digits():
 TABLE_IDS = ["2", "2b"] + [str(i) for i in range(3, 18)]
 
 
-@pytest.mark.parametrize("argvs, forbidden", [
-    pytest.param([], ("numpy", "scipy"), id="import-hyiqp"),
+# scipy.linalg._flapack is loaded on its own, so these names match exactly
+ORACLE_SKIPS = ("scipy.linalg", "scipy.special", "numpy.f2py")
+
+
+@pytest.mark.parametrize("argvs, trees, names", [
+    pytest.param([], ("numpy", "scipy"), (), id="import-hyiqp"),
     pytest.param([["energy", "--molecule", "CO", "--n", "3", "--l", "2"]],
-                 ("numpy", "scipy"), id="energy"),
-    pytest.param([["table", t] for t in TABLE_IDS], ("numpy", "scipy"), id="table"),
+                 ("numpy", "scipy"), (), id="energy"),
+    pytest.param([["table", t] for t in TABLE_IDS], ("numpy", "scipy"), (), id="table"),
     pytest.param([["expect", "--molecule", "HCl", "--observable", "T"]],
-                 ("numpy", "scipy"), id="expect"),
-    pytest.param([["molecules"]], ("numpy", "scipy"), id="molecules"),
-    pytest.param([["figure", "9"]], ("scipy",), id="figure-9"),
-    pytest.param([["check", "all"]], ("scipy.integrate",), id="check-all"),
+                 ("numpy", "scipy"), (), id="expect"),
+    pytest.param([["molecules"]], ("numpy", "scipy"), (), id="molecules"),
+    pytest.param([["figure", "9"]], ("scipy",), (), id="figure-9"),
+    pytest.param([["check", "all"]], ("scipy.integrate",), (), id="check-all"),
+    pytest.param([["expect", "--molecule", "HCl", "--observable", "T", "--mode", "paper",
+                   "--v0", "4.0", "--oracle"]], ("scipy.integrate",), ORACLE_SKIPS,
+                 id="expect-oracle"),
+    pytest.param([["check", "oracle"]], ("scipy.integrate",), ORACLE_SKIPS,
+                 id="check-oracle"),
 ])
-def test_cold_commands_import_only_the_numpy_and_scipy_they_use(argvs, forbidden):
+def test_cold_commands_import_only_the_numpy_and_scipy_they_use(argvs, trees, names):
     # an import costs a cold CLI call more than the physics it serves: the
     # closed form is scalar math and needs neither numpy nor scipy, the
-    # figures' ground states are normalized without Gauss-Jacobi nodes, and
-    # the normalization re-check integrates with numpy's Gauss-Legendre rule
+    # figures' ground states are normalized without Gauss-Jacobi nodes, the
+    # normalization re-check integrates with numpy's Gauss-Legendre rule, and
+    # the grid oracle loads scipy's LAPACK extension without scipy.linalg;
+    # trees forbid a package and its submodules, names only those modules
     src = Path(__file__).resolve().parents[1] / "src"
-    prefixes = tuple(name + "." for name in forbidden)
+    prefixes = tuple(name + "." for name in trees)
     script = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
@@ -365,7 +421,8 @@ def test_cold_commands_import_only_the_numpy_and_scipy_they_use(argvs, forbidden
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert hyiqp.cli.main(argv) == 0, argv\n"
-        f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefixes!r})))\n"
+        "print(sorted(m for m in sys.modules\n"
+        f"             if m in {names!r} or (m + '.').startswith({prefixes!r})))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
@@ -394,7 +451,9 @@ def test_every_exported_name_resolves():
 # discrete Hellmann-Feynman means: every oracle cell that moved now equals the
 # derivative of its own grid level to the central difference's 7e-10, and
 # moved by less than its grid-step error; check all traded numeric-positivity
-# for anchor-kinetic-vs-closed-form and tightened three tolerances
+# for anchor-kinetic-vs-closed-form and tightened three tolerances.  The HCl T
+# pin was re-recorded again when the oracle's <T> took in the centrifugal mean
+# at l >= 1, and check all when numeric-hft-r_m2 went to a 1e-6 step and 1e-8
 PINNED_STDOUT = [
     pytest.param(("expect", "--molecule", "H2", "--observable", "r-2", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
@@ -405,10 +464,10 @@ PINNED_STDOUT = [
                  id="expect-H2-physical-unbound"),
     pytest.param(("expect", "--molecule", "HCl", "--observable", "T", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
-                 "825df786cebdf1ee59e3e3e6fef4a003fc7f58278afb4185129fc29e2cc88215",
+                 "62502a21b3575eb780685f1acee6faf9f29a9826020659d9c24ab7777a0864c5",
                  id="expect-HCl-paper-v0-4"),
     pytest.param(("check", "all"),
-                 "2347bfafda5ce524e46becf49b929b1ee161b7dfedfa573a0ecc2d36656e6e16",
+                 "31a4227a35c409e9c05e1e678456b00aa443baeabe9ee153ccf265c98b77d0a7",
                  id="check-all"),
 ]
 

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,9 +11,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyiqp import oracle
 from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
-from hyiqp.oracle import (ISOLATION_TOL, NumerovResult, OracleConfig, _level_counter,
+from hyiqp.oracle import (ISOLATION_TOL, NumerovResult, OracleConfig, _lapack, _level_counter,
                           _numerov_sweep, _rayleigh_quotient, _sweep_bands,
                           default_config, expectation_numeric, solve_matrix,
                           solve_numerov)
@@ -429,6 +433,28 @@ def test_r_m2_is_the_derivative_of_the_grid_level_in_b(v0, l, physical, name):
         assert abs((up[k] - down[k]) / (2.0 * step) - mean) <= 1e-8 * mean
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(v0=st.floats(0.0, 10.0), l=st.integers(0, 3), physical=st.booleans(),
+       name=st.sampled_from(MOLECULES))
+def test_kinetic_is_the_derivative_of_the_grid_level_in_mu(v0, l, physical, name):
+    # <T> = -mu dE/dmu of the grid level, centrifugal mean included at l >= 1
+    mol = get_molecule(name)
+    constants = PHYSICAL if physical else PAPER
+    p = PotentialParams.from_molecule(mol, v0=v0)
+    cfg = default_config(mol.alpha)
+    sol = solve_matrix(p, l, mol.mu, cfg, 3, constants)
+    step = 1e-5 * mol.mu
+    up, down = (solve_matrix(p, l, mol.mu + s, cfg, 3, constants,
+                             below_asymptote_only=False).eigenvalues for s in (step, -step))
+    for k in range(len(sol.eigenvalues)):
+        mean = expectation_numeric(sol, k, "kinetic")
+        slope = -mol.mu * (up[k] - down[k]) / (2.0 * step)
+        # the difference rounds at an ulp or two of E: 1.2e-8 of <T> where <T>
+        # is 1.6e-3 of E (HCl physical, V0 = 0), so a few ulps are allowed
+        rounding = 4.0 * np.spacing(abs(up[k])) * mol.mu / step
+        assert abs(slope - mean) <= 1e-8 * mean + rounding
+
+
 def _binding_threshold(make, l, mu, cfg, constants, lo, hi):
     """V0 just either side of where the unscreened lowest level crosses C."""
     def level_above_c(v0):
@@ -471,7 +497,7 @@ def test_screen_skips_the_eigensolve_when_nothing_is_bound(monkeypatch):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("dstebz called")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", no_eigensolve)
+    monkeypatch.setattr(_lapack(), "dstebz", no_eigensolve)
     h2 = get_molecule("H2")
     p = PotentialParams.from_molecule(h2, v0=0.0)
     sol = solve_matrix(p, 0, h2.mu, OracleConfig(), 2, PAPER)
@@ -511,3 +537,54 @@ def test_kept_vectors_are_the_leading_vectors_of_a_full_stein_call(l, bound):
         if u[int(np.argmax(np.abs(u)))] < 0.0:
             u = -u
         assert np.array_equal(sol.eigenvectors[k], u)
+
+
+LAPACK_ROUTINES = ("dpttrf", "dstebz", "dstein", "dtbtrs")
+
+
+@pytest.mark.parametrize("scipy_linalg_first", [False, True],
+                         ids=["loader-first", "scipy-linalg-first"])
+def test_loaded_lapack_routines_are_scipys(scipy_linalg_first):
+    # in a fresh process either import order leaves one extension module:
+    # the loader registers it under the name scipy.linalg imports it by
+    src = Path(__file__).resolve().parents[1] / "src"
+    steps = ["import scipy.linalg.lapack\n",
+             "from hyiqp.oracle import _lapack\nmodule = _lapack()\n"]
+    if not scipy_linalg_first:
+        steps.reverse()
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        + "".join(steps) +
+        "assert module is sys.modules['scipy.linalg._flapack']\n"
+        f"for name in {LAPACK_ROUTINES!r}:\n"
+        "    assert getattr(module, name) is getattr(scipy.linalg.lapack, name), name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_missing_lapack_extension_names_the_paths_it_looked_for(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(oracle.importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"linalg[/\\]_flapack\.missing\.so"):
+        _lapack()
+
+
+_HCL = get_molecule("HCl")
+
+
+@pytest.mark.parametrize("p, l, mu, cfg, k_states", [
+    pytest.param(ANCHOR, 0, 1.0, ANCHOR_CFG, 3, id="anchor"),
+    *(pytest.param(PotentialParams.from_molecule(_HCL, v0=4.0), l, _HCL.mu,
+                   default_config(_HCL.alpha), 9, id=f"HCl-paper-v0-4-l{l}")
+      for l in range(4)),
+])
+def test_solves_equal_those_through_scipy_linalg_lapack(monkeypatch, p, l, mu, cfg, k_states):
+    sol = solve_matrix(p, l, mu, cfg, k_states, PAPER)
+    monkeypatch.setattr(oracle, "_lapack", lambda: scipy.linalg.lapack)
+    ref = solve_matrix(p, l, mu, cfg, k_states, PAPER)
+    assert np.array_equal(sol.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(sol.eigenvectors, ref.eigenvectors)
+    assert sol.node_counts == ref.node_counts
