@@ -8,7 +8,11 @@ wave-function figures), ``check`` (verification suites), ``molecules``
 
 Output is deterministic: fixed row ordering, floats at 12 significant
 digits, no timestamps.  Exit codes: 0 success, 1 check failure, 2 domain
-error, 3 unknown molecule/table lookup.
+error (NaN or infinite input included, and finite input whose arithmetic
+leaves double range), 3 unknown molecule/table lookup.
+
+Window, grid and point-count defaults belong to the library functions the
+commands call; an option the user leaves out is not passed on.
 
 ``checks`` and ``oracle`` import numpy at module level and are imported by
 the commands that use them, so ``energy``, ``table``, ``expect`` without
@@ -19,9 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .constants import PAPER, for_mode, get_molecule, registry
+from .constants import CONSTANTS_VERSION, for_mode, get_molecule, registry
 from .errors import DomainError, HyiqpError, UnknownMoleculeError
 from .hft import OBSERVABLES, expectation_report
 from .potential import PotentialParams
@@ -77,7 +82,7 @@ def _emit(env: Envelope, args) -> None:
 def _meta(args, mode: str, extra: dict | None = None) -> dict:
     meta = {
         "mode": mode,
-        "constants": for_mode(mode).version,
+        "constants": CONSTANTS_VERSION,
         "command": "hyiqp " + " ".join(args.raw_argv),
     }
     if extra:
@@ -85,12 +90,36 @@ def _meta(args, mode: str, extra: dict | None = None) -> dict:
     return meta
 
 
-def _parse_params(text: str) -> PotentialParams:
+def _finite_float(text: str) -> float:
+    """argparse type of the number options: NaN and infinity are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text: str, option: str, count: int | None = None) -> list[float]:
+    """The comma-separated numbers of an option; NaN and infinity are domain errors."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 5:
-        raise DomainError("--params expects five comma-separated values V0,A,B,C,alpha")
-    v0, a, b, c, alpha = (float(p) for p in parts)
+    if count is not None and len(parts) != count:
+        raise DomainError(f"{option} expects {count} comma-separated values")
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{option} takes finite numbers, got {text!r}")
+    return values
+
+
+def _parse_params(text: str) -> PotentialParams:
+    v0, a, b, c, alpha = _finite_list(text, "--params V0,A,B,C,alpha", 5)
     return PotentialParams(v0=v0, a=a, b=b, c=c, alpha=alpha)
+
+
+def _given(**options) -> dict:
+    """The options the user set; the rest keep the library's defaults."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def cmd_energy(args) -> int:
@@ -143,7 +172,7 @@ def cmd_expect(args) -> int:
         from .oracle import default_config, solve_matrix
 
         p = PotentialParams.from_molecule(mol, v0=args.v0)
-        cfg = default_config(mol.alpha, n_points=args.oracle_points)
+        cfg = default_config(mol.alpha, **_given(n_points=args.oracle_points))
         oracle_solutions = {
             l: solve_matrix(p, l, mol.mu, cfg, args.n_max + 1, constants)
             for l in range(args.l_max + 1)
@@ -185,21 +214,19 @@ def cmd_table(args) -> int:
 
 def cmd_figure(args) -> int:
     constants = for_mode(args.mode)
+    window = _given(r_min=args.r_min, r_max=args.r_max, n_points=args.points)
     if args.id in (1, 2):
-        r_max = args.r_max if args.r_max is not None else 10.0
         mol = get_molecule(args.molecule)
         p = PotentialParams.from_molecule(mol, v0=args.v0)
-        alphas = tuple(float(x) for x in args.alphas.split(","))
-        columns, cols, extra = figure_potential_data(
-            args.id, p, alphas=alphas, r_min=args.r_min, r_max=r_max,
-            n_points=args.points)
+        if args.alphas is not None:
+            window["alphas"] = tuple(_finite_list(args.alphas, "--alphas"))
+        columns, cols, extra = figure_potential_data(args.id, p, **window)
         rows = list(zip(*cols))
         extra.update({"figure": str(args.id), "molecule": mol.name, "v0": fmt(args.v0)})
     else:
-        r_max = args.r_max if args.r_max is not None else 20.0
         columns, rows, extra = figure_wavefunction_data(
             args.id, constants, n=args.n, v0=args.v0, convention=args.convention,
-            r_min=args.r_min, r_max=r_max, n_points=args.points)
+            **window)
         extra["figure"] = str(args.id)
     env = Envelope(_meta(args, args.mode, extra), columns, rows)
     _emit(env, args)
@@ -249,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--molecule")
     group.add_argument("--params", help="V0,A,B,C,alpha")
-    sp.add_argument("--mu", type=float, default=None, help="reduced mass for --params")
+    sp.add_argument("--mu", type=_finite_float, default=None, help="reduced mass for --params")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--mode", choices=("paper", "physical"), default="physical")
-    sp.add_argument("--v0", type=float, default=None,
+    sp.add_argument("--v0", type=_finite_float, default=None,
                     help="well depth for --molecule runs (default 0; absent from "
                          "the tabulated constants)")
     add_io(sp)
@@ -265,19 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=8)
     sp.add_argument("--l-max", type=int, default=3)
     sp.add_argument("--mode", choices=("paper", "physical"), default="physical")
-    sp.add_argument("--v0", type=float, default=0.0)
-    sp.add_argument("--exp-factor-r", type=float, default=None,
+    sp.add_argument("--v0", type=_finite_float, default=0.0)
+    sp.add_argument("--exp-factor-r", type=_finite_float, default=None,
                     help="r* in the exp(alpha r*) prefactor of <r^-1> (default: unit prefactor)")
     sp.add_argument("--oracle", action="store_true",
                     help="add the grid-oracle column (slow)")
-    sp.add_argument("--oracle-points", type=int, default=20000)
+    sp.add_argument("--oracle-points", type=int, default=None,
+                    help="grid points of the oracle (default: the oracle's default grid)")
     add_io(sp)
     sp.set_defaults(func=cmd_expect)
 
     sp = sub.add_parser("table", help="regenerate a bundled reference table")
     sp.add_argument("id", help="2, 2b, or 3..17")
     sp.add_argument("--mode", choices=("paper", "physical"), default="paper")
-    sp.add_argument("--v0", type=float, default=0.0)
+    sp.add_argument("--v0", type=_finite_float, default=0.0)
     add_io(sp)
     sp.set_defaults(func=cmd_table)
 
@@ -285,15 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("id", type=int, choices=range(1, 10))
     sp.add_argument("--molecule", default="H2", help="molecule for figures 1-2")
     sp.add_argument("--mode", choices=("paper", "physical"), default="paper")
-    sp.add_argument("--v0", type=float, default=0.0)
-    sp.add_argument("--alphas", default="0.1,0.2,0.3,0.4",
-                    help="four screening values for figure 1")
+    sp.add_argument("--v0", type=_finite_float, default=0.0)
+    sp.add_argument("--alphas", default=None,
+                    help="four comma-separated screening values for figure 1")
     sp.add_argument("--n", type=int, default=0, help="radial quantum number, figures 3-9")
     sp.add_argument("--convention", choices=WAVEFUNCTION_CONVENTIONS, default="literal")
-    sp.add_argument("--r-min", type=float, default=0.05)
-    sp.add_argument("--r-max", type=float, default=None,
-                    help="default 10 for figures 1-2, 20 for figures 3-9")
-    sp.add_argument("--points", type=int, default=512)
+    # the window defaults are figure_potential_data's and figure_wavefunction_data's
+    sp.add_argument("--r-min", type=_finite_float, default=None)
+    sp.add_argument("--r-max", type=_finite_float, default=None,
+                    help="default: the figure's own window")
+    sp.add_argument("--points", type=int, default=None)
     add_io(sp)
     sp.set_defaults(func=cmd_figure)
 
@@ -323,6 +352,10 @@ def main(argv=None) -> int:
         return EXIT_LOOKUP
     except (HyiqpError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DOMAIN
+    except ArithmeticError as exc:
+        # finite input extreme enough that the arithmetic leaves double range
+        sys.stderr.write(f"error: the input leaves double range ({exc})\n")
         return EXIT_DOMAIN
 
 

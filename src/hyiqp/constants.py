@@ -20,6 +20,7 @@ treats them as inputs of whichever mode is active.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -35,18 +36,16 @@ REGISTRY_HEADER = "name,A,B,C,alpha,mu"
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Unit convention record handed to every energy-carrying formula."""
+    """Unit convention record handed to every energy-carrying formula.
+
+    Physical mode reads the module's CODATA 2018 values.
+    """
 
     mode: str
-    hbar_c: float = HBAR_C_EV_ANGSTROM
-    amu_to_energy: float = AMU_EV_PER_C2
-    version: str = CONSTANTS_VERSION
 
     def __post_init__(self):
         if self.mode not in ("paper", "physical"):
             raise DomainError(f"unknown constants mode {self.mode!r}")
-        if self.hbar_c <= 0.0 or self.amu_to_energy <= 0.0:
-            raise DomainError("hbar_c and amu_to_energy must be positive")
 
 
 PAPER = PhysicalConstants(mode="paper")
@@ -73,14 +72,14 @@ def hbar2_over_2mu(mu: float, constants: PhysicalConstants) -> float:
         raise DomainError(f"reduced mass must be positive, got {mu}")
     if constants.mode == "paper":
         return 1.0 / (2.0 * mu)
-    return constants.hbar_c**2 / (2.0 * mu * constants.amu_to_energy)
+    return HBAR_C_EV_ANGSTROM**2 / (2.0 * mu * AMU_EV_PER_C2)
 
 
 def mu_energy_units(mu: float, constants: PhysicalConstants) -> float:
     """Reduced mass in the units <p^2> = 2 mu <T> is formed with."""
     if constants.mode == "paper":
         return mu
-    return mu * constants.amu_to_energy
+    return mu * AMU_EV_PER_C2
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,8 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, Molecule]
             numbers = [float(x) for x in fields[1:]]
         except ValueError as exc:
             raise DomainError(f"{source}: bad number in {ln!r}") from exc
+        if not all(map(math.isfinite, numbers)):
+            raise DomainError(f"{source}: non-finite number in {ln!r}")
         out[name.lower()] = Molecule(name, *numbers)
     return out
 

@@ -184,8 +184,8 @@ def expectation_report(molecule: Molecule, observable: str, n_max: int = 8,
     """
     if constants is None:
         raise DomainError("constants mode must be given explicitly")
-    if n_max > 12 or l_max > 12:
-        raise DomainError("report grids are limited to n_max, l_max <= 12")
+    if not (0 <= n_max <= 12 and 0 <= l_max <= 12):
+        raise DomainError("report grids need 0 <= n_max, l_max <= 12")
     oracle_obs = {"r-2": "r_m2", "r-1": "r_m1_screened", "T": "kinetic", "p2": "p2"}
     if oracle_solutions is not None:
         from .oracle import expectation_numeric

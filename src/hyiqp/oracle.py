@@ -61,35 +61,32 @@ NODE_THRESHOLD = 1e-9
 # absolute bisection tolerance (times max(1, |C|)) that isolates each level
 # for inverse iteration; the eigenvalue itself is the vector's Rayleigh quotient
 ISOLATION_TOL = 1e-6
+# relative tolerance (times max(1, |C|)) of the inertia screen's margin in
+# solve_matrix, and relative stopping tolerance of solve_numerov's bisection
+EIG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid and tolerance settings for one solve.
+    """Grid window and size for one solve.
 
-    eig_tol sets the inertia screen's margin in solve_matrix and the
-    stopping tolerance of solve_numerov; solve_matrix's eigenvalues are
-    Rayleigh quotients and do not depend on it.
+    The solvers' tolerances are module constants (ISOLATION_TOL, EIG_TOL).
     """
 
     r_min: float = 1e-4
     r_max: float = 40.0
     n_points: int = 20000
-    eig_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.r_min < self.r_max:
             raise DomainError("need 0 < r_min < r_max")
         if self.n_points < 1000:
             raise DomainError("n_points must be at least 1000")
-        if self.eig_tol > 1e-8:
-            raise DomainError("eig_tol must be at most 1e-8")
 
 
 def default_config(alpha: float, n_points: int = 20000) -> OracleConfig:
     """Default window scaled with the screening length 1/alpha."""
-    return OracleConfig(r_min=1e-4, r_max=DEFAULT_R_MAX_TIMES_ALPHA / alpha,
-                        n_points=n_points)
+    return OracleConfig(r_max=DEFAULT_R_MAX_TIMES_ALPHA / alpha, n_points=n_points)
 
 
 @dataclass
@@ -110,7 +107,6 @@ class RadialGridSolution:
     l: int
     mu: float
     constants: PhysicalConstants
-    asymptote: float
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -189,7 +185,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     (_rayleigh_quotient).  Against an mpmath Sturm bisection of the same
     operator, diagonal 2c + V_eff summed exactly, it is within 5e-16 on the
     anchor (5000 and 20000 points) and 1.3e-15 on the 25 bound levels of H2
-    and HCl (paper mode, V0 = 4).  A bisection to eig_tol, whose Sturm counts
+    and HCl (paper mode, V0 = 4).  A bisection to EIG_TOL, whose Sturm counts
     round at eps ||H||, was up to 2e-10 off there.
 
     States at or above the potential's asymptote C are box artifacts, not
@@ -201,15 +197,15 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     leading ones of a call on all k_states shifts.
 
     When dropping them, one LDL^T factorization (LAPACK dpttrf) of
-    H - (C + delta) I comes first, delta = eig_tol max(1, |C|) + 8 eps ||H||.
+    H - (C + delta) I comes first, delta = EIG_TOL max(1, |C|) + 8 eps ||H||.
     It succeeds only if that matrix is positive definite, which by
     Sylvester's law of inertia means no level lies below C + delta; the
     eigensolve, which would drop every level it found, is then skipped and
     the same empty solution returned.  A Rayleigh quotient is not below the
     lowest level (up to rounding), so delta can only make the screen fire
-    less; its first term once covered a bisection to eig_tol, its second the
+    less; its first term once covered a bisection to EIG_TOL, its second the
     rounding in which dpttrf's pivots and Sturm counts differ (measured up to
-    0.3 eps ||H||; with eig_tol alone the screen dropped a level the
+    0.3 eps ||H||; with EIG_TOL alone the screen dropped a level the
     eigensolve put 1e-10 below C).  A failed factorization stops at its
     first non-positive pivot, and the eigensolve runs as before.
     """
@@ -224,7 +220,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     diag = 2.0 * h2m / h**2 + v_eff
     off = np.full(r.size - 1, -h2m / h**2)
     norm = np.max(np.abs(diag)) + 2.0 * h2m / h**2
-    shift = p.c + cfg.eig_tol * max(1.0, abs(p.c)) + 8.0 * np.finfo(float).eps * norm
+    shift = p.c + EIG_TOL * max(1.0, abs(p.c)) + 8.0 * np.finfo(float).eps * norm
     if below_asymptote_only and lapack.dpttrf(diag - shift, off)[2] == 0:
         eigenvalues, vectors = np.empty(0), None
     else:
@@ -276,7 +272,6 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
         l=l,
         mu=mu,
         constants=constants,
-        asymptote=p.c,
         diagnostics=diagnostics,
     )
 
@@ -374,7 +369,7 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     would shift the count.
 
     The bracket must hold exactly one level, else ConvergenceError says how
-    many it holds.  Bisection on the count narrows it to eig_tol (relative
+    many it holds.  Bisection on the count narrows it to EIG_TOL (relative
     to the energy scale of the current bracket), or until its midpoint is
     no longer representable, and returns the midpoint; node_count is the
     number of levels below it.
@@ -387,7 +382,7 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
         raise ConvergenceError(
             f"bracket ({lo:.9g}, {hi:.9g}) holds {levels} Numerov levels, not one")
     iterations = 0
-    while hi - lo > cfg.eig_tol * max(1.0, abs(lo), abs(hi)):
+    while hi - lo > EIG_TOL * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break

@@ -214,13 +214,13 @@ def nu_consistency(p: PotentialParams, mu: float, n: int, l: int,
     exceed NU_RESIDUAL_TOL.  A violated bound-state condition (tau' >= 0) is
     reported through bound_condition_ok, never silently.
     """
-    res = energy(p, mu, n, l, constants)
-    h2 = hbar2_over_2mu(mu, constants)
-    sigma1 = p.a / (2.0 * h2 * p.alpha)
-    sigma2 = p.b / h2
-    delta2 = p.v0 / (4.0 * h2 * p.alpha**2)
-    gamma = res.gamma
-    root = res.root
+    _check_nl(n, l)
+    n = int(n)
+    l = int(l)
+    _h2, gamma, sigma1, sigma2, delta2, m_num, d_den = _energy_pieces(
+        p, mu, n, l, constants)
+    root = m_num / d_den
+    tau_slope = -2.0 - 2.0 * (0.5 * gamma - root)
     ll1 = l * (l + 1.0)
     # k roots of the discriminant condition; the principal square root of
     # (eps2 + sigma3) * gamma^2 evaluated at the solved level
@@ -240,12 +240,12 @@ def nu_consistency(p: PotentialParams, mu: float, n: int, l: int,
         k2=k2,
         pi_slope=-0.5 - (0.5 * gamma - root),
         pi_intercept=root,
-        tau_slope=res.tau_slope,
+        tau_slope=tau_slope,
         lam=lam,
         lam_n=lam_n,
         residual=residual,
         root=root,
-        bound_condition_ok=res.bound_condition_ok,
+        bound_condition_ok=tau_slope < 0.0,
     )
 
 

@@ -130,9 +130,11 @@ class TableResult:
 
 
 def regenerate_table(table_id: str, constants: PhysicalConstants = PAPER, *,
-                     v0: float = 0.0, n_max: int = 8, l_max: int = 3,
-                     oracle_solutions: dict | None = None) -> TableResult:
+                     v0: float = 0.0) -> TableResult:
     """Recompute one reference table with fixture and deviation columns.
+
+    The grid is expectation_report's default n <= 8, l <= 3, the reference
+    tables' own.
 
     Missing ids (3, 4) return an explanatory notice with no rows.  The
     unattributed block ``2b`` returns fixture values only, since there is no
@@ -157,10 +159,8 @@ def regenerate_table(table_id: str, constants: PhysicalConstants = PAPER, *,
         return TableResult(table_id=spec.table_id, label=spec.label, rows=rows,
                            notes=spec.flags)
     molecule = get_molecule(spec.molecule)
-    rows = expectation_report(
-        molecule, spec.observable, n_max=n_max, l_max=l_max, constants=constants,
-        v0=v0, fixtures=load_fixture(spec.table_id),
-        oracle_solutions=oracle_solutions)
+    rows = expectation_report(molecule, spec.observable, constants=constants, v0=v0,
+                              fixtures=load_fixture(spec.table_id))
     notes = spec.flags + (f"v0={v0!r}", f"mode={constants.mode}")
     return TableResult(table_id=spec.table_id, label=spec.label, rows=rows,
                        notes=notes)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -349,6 +350,58 @@ def test_hft_derivative_agreement_check_reports_fail(capsys, monkeypatch):
     assert failed == ["FAIL - hft-derivative-agreement"]
 
 
+def _collapsed_level_one_ulp_up(real):
+    def broken(p, *args):
+        res = real(p, *args)
+        if p == PotentialParams(0.0, 0.0, 0.0, 0.0, 0.5):
+            res = dataclasses.replace(res, energy=math.nextafter(res.energy, 0.0))
+        return res
+    return broken
+
+
+@pytest.mark.parametrize("name, attr, wrap", [
+    # the pure inverse-quadratic curve one ulp high; the limit is exact
+    pytest.param("potential-limit-inverse-quadratic", "inverse_quadratic",
+                 lambda real: lambda *args: np.nextafter(real(*args), np.inf),
+                 id="potential-limit-inverse-quadratic"),
+    # the inverse-quadratic closed form 1e-11 of itself high, ten times the tolerance
+    pytest.param("energy-reduction-closure", "energy_iqp",
+                 lambda real: lambda *args: real(*args) * (1.0 + 1e-11),
+                 id="energy-reduction-closure"),
+    # the collapsed ground state one ulp above -1/8; the check is exact
+    pytest.param("collapsed-energy", "energy", _collapsed_level_one_ulp_up,
+                 id="collapsed-energy"),
+])
+def test_reduction_checks_report_fail(capsys, monkeypatch, name, attr, wrap):
+    from hyiqp import checks
+
+    monkeypatch.setattr(checks, attr, wrap(getattr(checks, attr)))
+    code, out, _ = run(capsys, "check", "reduction")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == [f"FAIL - {name}"]
+
+
+def test_orthodox_node_count_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import checks
+
+    real = checks.wavefunction
+
+    def broken(r, *args, convention, **kwargs):
+        # the node check's orthodox states sampled in the literal convention,
+        # whose H2 l = 0 states carry 0, 1, 0, 1, 0 sign changes; the
+        # normalization re-check samples on a 2-d grid and is left alone
+        if convention == "orthodox" and np.ndim(r) == 1:
+            convention = "literal"
+        return real(r, *args, convention=convention, **kwargs)
+
+    monkeypatch.setattr(checks, "wavefunction", broken)
+    code, out, _ = run(capsys, "check", "nu")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == ["FAIL - orthodox-node-counts"]
+
+
 def test_normalization_check_reports_fail(capsys, monkeypatch):
     from hyiqp import checks
 
@@ -372,6 +425,44 @@ def test_molecules_listing_and_env_registry(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "energy", "--molecule", "xy", "--n", "0", "--l", "0",
                        "--mode", "paper")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("energy", "--params", "1,1,1,1,nan", "--mu", "1", "--n", "0", "--l", "0"),
+                 "finite", id="params-nan"),
+    pytest.param(("energy", "--params", "1,1,1,1,inf", "--mu", "1", "--n", "0", "--l", "0"),
+                 "finite", id="params-inf"),
+    pytest.param(("energy", "--params", "1,1,1,1,1", "--mu", "nan", "--n", "0", "--l", "0"),
+                 "finite", id="mu-nan"),
+    pytest.param(("expect", "--molecule", "H2", "--observable", "r-1", "--v0", "nan"),
+                 "finite", id="expect-v0-nan"),
+    # exp(alpha r*) overflows; alpha^2 underflows to 0 under a division
+    pytest.param(("expect", "--molecule", "H2", "--observable", "r-1",
+                  "--exp-factor-r", "1e5"), "double range", id="exp-factor-r-overflow"),
+    pytest.param(("energy", "--params", "1,1,1,1,1e-300", "--mu", "1", "--n", "0", "--l", "0"),
+                 "double range", id="alpha-underflow"),
+    pytest.param(("expect", "--molecule", "H2", "--observable", "r-1", "--n-max", "-1"),
+                 "n_max", id="negative-n-max"),
+])
+def test_non_finite_or_extreme_input_exits_with_a_domain_error(capsys, argv, message):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:      # argparse rejects an option's value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert captured.out == ""
+    assert "error: " in captured.err.splitlines()[-1]
+    assert message in captured.err
+
+
+def test_registry_row_with_nan_exits_with_a_domain_error(tmp_path, capsys):
+    extra = tmp_path / "reg.csv"
+    extra.write_text("name,A,B,C,alpha,mu\nXY,1.0,2.0,3.0,nan,1.25\n")
+    code, out, err = run(capsys, "molecules", "--registry", str(extra))
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and "non-finite" in err
 
 
 def test_fmt_12_significant_digits():
@@ -453,7 +544,9 @@ def test_every_exported_name_resolves():
 # moved by less than its grid-step error; check all traded numeric-positivity
 # for anchor-kinetic-vs-closed-form and tightened three tolerances.  The HCl T
 # pin was re-recorded again when the oracle's <T> took in the centrifugal mean
-# at l >= 1, and check all when numeric-hft-r_m2 went to a 1e-6 step and 1e-8
+# at l >= 1, and check all when numeric-hft-r_m2 went to a 1e-6 step and 1e-8.
+# The figure, molecules, table and energy pins hold the bytes of the commands
+# whose defaults live in the library (window, grid, points, constants).
 PINNED_STDOUT = [
     pytest.param(("expect", "--molecule", "H2", "--observable", "r-2", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
@@ -469,6 +562,24 @@ PINNED_STDOUT = [
     pytest.param(("check", "all"),
                  "31a4227a35c409e9c05e1e678456b00aa443baeabe9ee153ccf265c98b77d0a7",
                  id="check-all"),
+    pytest.param(("figure", "1"),
+                 "d11e16c645004f818a8152040688181ac37d56786e8f20f2e815bc0fc99685f1",
+                 id="figure-1"),
+    pytest.param(("figure", "2", "--v0", "5"),
+                 "25a6c102df4a70df382e4cb692ac91c548ff547b0df0a76684ee8f128ac76659",
+                 id="figure-2-v0-5"),
+    pytest.param(("figure", "9", "--convention", "weight"),
+                 "c2b0e5e828b52221fcae830e3e5fe2a3f1193fd1041b535feeeb2d4bc6fbc57c",
+                 id="figure-9-weight"),
+    pytest.param(("molecules",),
+                 "f78d95c135a51fa754f63e59bb90fca0e221a8fb849a14f6abf53eb49eae21a9",
+                 id="molecules"),
+    pytest.param(("table", "10", "--mode", "physical", "--v0", "4"),
+                 "dde431c99552e7085617cecb34c96ac206ad1f8d75f98bec384687a16152723d",
+                 id="table-10-physical-v0-4"),
+    pytest.param(("energy", "--molecule", "CO", "--n", "3", "--l", "2"),
+                 "fe3b66c29088209ffaccb598ca65cb1dfbb1089583d05f9b2afbc170580987d3",
+                 id="energy-CO-n3-l2"),
 ]
 
 

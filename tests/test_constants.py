@@ -77,7 +77,7 @@ def test_mode_validation_and_for_mode():
     with pytest.raises(DomainError):
         for_mode("natural")
     with pytest.raises(DomainError):
-        PhysicalConstants(mode="paper", hbar_c=-1.0)
+        PhysicalConstants(mode="natural")
 
 
 def test_registry_round_trip_is_identity():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyiqp.constants import PAPER, PHYSICAL, BUILTIN_MOLECULES, Molecule, get_molecule
+from hyiqp.constants import (AMU_EV_PER_C2, HBAR_C_EV_ANGSTROM, PAPER, PHYSICAL,
+                             BUILTIN_MOLECULES, Molecule, get_molecule)
 from hyiqp.errors import DomainError
 from hyiqp.hft import (d_energy_d_param, expectation_report,
                        observable_for_params, rel_dev)
@@ -24,7 +25,7 @@ def _mp_level(v0, a, b, c, alpha, mu, n, l, constants):
     if constants.mode == "paper":
         h2 = 1 / (2 * mu)
     else:
-        h2 = mpmath.mpf(constants.hbar_c) ** 2 / (2 * mu * mpmath.mpf(constants.amu_to_energy))
+        h2 = mpmath.mpf(HBAR_C_EV_ANGSTROM) ** 2 / (2 * mu * mpmath.mpf(AMU_EV_PER_C2))
     ll1 = l * (l + 1)
     sigma2 = b / h2
     gamma = mpmath.sqrt(4 * sigma2 + 4 * ll1 + 1)

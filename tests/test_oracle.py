@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hyiqp import oracle
 from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
-from hyiqp.oracle import (ISOLATION_TOL, NumerovResult, OracleConfig, _lapack, _level_counter,
+from hyiqp.oracle import (EIG_TOL, ISOLATION_TOL, NumerovResult, OracleConfig, _lapack, _level_counter,
                           _numerov_sweep, _rayleigh_quotient, _sweep_bands,
                           default_config, expectation_numeric, solve_matrix,
                           solve_numerov)
@@ -40,8 +40,6 @@ def test_config_validation():
         OracleConfig(r_min=2.0, r_max=1.0)
     with pytest.raises(DomainError):
         OracleConfig(n_points=500)
-    with pytest.raises(DomainError):
-        OracleConfig(eig_tol=1e-6)
 
 
 def test_default_config_scales_with_screening():
@@ -93,7 +91,7 @@ def test_matrix_levels_are_the_exact_grid_eigenvalues():
     # Sturm-count bisection at 30 digits of the grid operator, its diagonal
     # 2c + V_eff summed exactly as the Rayleigh quotient takes it (rounding
     # that sum to double moves a molecule level by up to 2e-12 at 20000
-    # points); a bisection to eig_tol was 2e-12 and 2e-11 off here
+    # points); a bisection to EIG_TOL was 2e-12 and 2e-11 off here
     cfg = OracleConfig(r_min=1e-7, r_max=1.1, n_points=5000)
     sol = solve_matrix(ANCHOR, 0, 1.0, cfg, 2, PAPER)
     v_eff, c = _operator(ANCHOR, 0, 1.0, cfg, PAPER)
@@ -407,7 +405,7 @@ def test_levels_match_a_full_bisection(v0, l, physical, name):
     v_eff, c = _operator(p, l, mol.mu, cfg, constants)
     ref = scipy.linalg.eigh_tridiagonal(2.0 * c + v_eff, np.full(v_eff.size - 1, -c),
                                         eigvals_only=True, select="i",
-                                        select_range=(0, 8), tol=cfg.eig_tol)
+                                        select_range=(0, 8), tol=EIG_TOL)
     ref = ref[ref < p.c]
     assert np.all(np.diff(levels) > 0.0)
     assert levels.size == ref.size
@@ -488,7 +486,7 @@ THRESHOLD_CASES = [
 @pytest.mark.parametrize("make, l, mu, cfg, constants, lo, hi", THRESHOLD_CASES)
 def test_screen_is_exact_at_the_binding_threshold(make, l, mu, cfg, constants, lo, hi):
     # the unscreened level sits within 1e-9 of C on both sides; a screen
-    # shifted by eig_tol alone dropped the bound side's level here
+    # shifted by EIG_TOL alone dropped the bound side's level here
     for v0 in _binding_threshold(make, l, mu, cfg, constants, lo, hi):
         _assert_screen_is_exact(make(v0), l, mu, cfg, 3, constants)
 
