@@ -3,7 +3,9 @@
 Each suite returns a list of named pass/fail results so the CLI can print
 one line per assertion and exit nonzero on the first failure.  The suites
 are the library's hard guarantees, computed here and nowhere else (the
-acceptance tests assert on ``run_suite``):
+acceptance tests assert on ``run_suite``).  Every suite runs in paper mode
+(hbar = 1, bare constants), the unit mode of the reference tables; the
+anchor and the cutoff states below are paper-mode facts:
 
 * reduction: zeroed parameter subsets reproduce the named limits exactly;
 * hft: closed-form derivatives agree with complex-step derivatives of the
@@ -62,39 +64,32 @@ def _result(name, ok, detail=""):
     return CheckResult(name=name, ok=bool(ok), detail=detail)
 
 
-def check_reduction(constants=PAPER) -> list[CheckResult]:
+def check_reduction() -> list[CheckResult]:
     results = []
     r = np.geomspace(0.05, 30.0, 64)
 
-    p_h = PotentialParams(v0=3.0, a=0.0, b=0.0, c=0.0, alpha=0.4)
-    dev_h = np.max(np.abs(potential(r, p_h) - hulthen(r, 3.0, 0.4)))
-    results.append(_result("potential-limit-hulthen", dev_h == 0.0, f"max|dev|={dev_h:g}"))
-
-    p_y = PotentialParams(v0=0.0, a=1.2, b=0.0, c=0.0, alpha=0.4)
-    dev_y = np.max(np.abs(potential(r, p_y) - yukawa(r, 1.2, 0.4)))
-    results.append(_result("potential-limit-yukawa", dev_y == 0.0, f"max|dev|={dev_y:g}"))
-
-    p_q = PotentialParams(v0=0.0, a=0.0, b=1.9426, c=0.0, alpha=0.4)
-    dev_q = np.max(np.abs(potential(r, p_q) - inverse_quadratic(r, 1.9426)))
-    results.append(_result("potential-limit-inverse-quadratic", dev_q == 0.0,
-                           f"max|dev|={dev_q:g}"))
+    # each named limit is its own formula, so a fault in either side shows
+    for name, p_limit, limit in (
+            ("hulthen", PotentialParams(3.0, 0.0, 0.0, 0.0, 0.4), hulthen(r, 3.0, 0.4)),
+            ("yukawa", PotentialParams(0.0, 1.2, 0.0, 0.0, 0.4), yukawa(r, 1.2, 0.4)),
+            ("inverse-quadratic", PotentialParams(0.0, 0.0, 1.9426, 0.0, 0.4),
+             inverse_quadratic(r, 1.9426))):
+        dev = np.max(np.abs(potential(r, p_limit) - limit))
+        results.append(_result(f"potential-limit-{name}", dev == 0.0, f"max|dev|={dev:g}"))
 
     worst = 0.0
     for mol in BUILTIN_MOLECULES.values():
         for n in range(6):
             for l in range(6):
-                e_h = energy_hulthen(2.0, mol.alpha, mol.mu, n, l, constants)
-                full = energy(PotentialParams(2.0, 0.0, 0.0, 0.0, mol.alpha),
-                              mol.mu, n, l, constants).energy
-                worst = max(worst, abs(e_h - full) / max(1.0, abs(full)))
-                e_y = energy_yukawa(mol.a, mol.alpha, mol.mu, n, l, constants)
-                full = energy(PotentialParams(0.0, mol.a, 0.0, 0.0, mol.alpha),
-                              mol.mu, n, l, constants).energy
-                worst = max(worst, abs(e_y - full) / max(1.0, abs(full)))
-                e_q = energy_iqp(mol.b, mol.alpha, mol.mu, n, l, constants)
-                full = energy(PotentialParams(0.0, 0.0, mol.b, 0.0, mol.alpha),
-                              mol.mu, n, l, constants).energy
-                worst = max(worst, abs(e_q - full) / max(1.0, abs(full)))
+                for e_limit, p_limit in (
+                        (energy_hulthen(2.0, mol.alpha, mol.mu, n, l, PAPER),
+                         PotentialParams(2.0, 0.0, 0.0, 0.0, mol.alpha)),
+                        (energy_yukawa(mol.a, mol.alpha, mol.mu, n, l, PAPER),
+                         PotentialParams(0.0, mol.a, 0.0, 0.0, mol.alpha)),
+                        (energy_iqp(mol.b, mol.alpha, mol.mu, n, l, PAPER),
+                         PotentialParams(0.0, 0.0, mol.b, 0.0, mol.alpha))):
+                    full = energy(p_limit, mol.mu, n, l, PAPER).energy
+                    worst = max(worst, abs(e_limit - full) / max(1.0, abs(full)))
     results.append(_result("energy-reduction-closure", worst <= 1e-12,
                            f"worst rel dev={worst:.2e} (tol 1e-12)"))
 
@@ -121,7 +116,7 @@ def check_reduction(constants=PAPER) -> list[CheckResult]:
     return results
 
 
-def check_hft(constants=PAPER) -> list[CheckResult]:
+def check_hft() -> list[CheckResult]:
     worst_gap = 0.0
     worst_state = ""
     for mol in BUILTIN_MOLECULES.values():
@@ -129,7 +124,7 @@ def check_hft(constants=PAPER) -> list[CheckResult]:
         for n in SWEEP_N:
             for l in SWEEP_L:
                 for which in ("l", "A", "mu"):
-                    d = d_energy_d_param(p, mol.mu, n, l, which, constants)
+                    d = d_energy_d_param(p, mol.mu, n, l, which, PAPER)
                     if d.rel_gap > worst_gap:
                         worst_gap = d.rel_gap
                         worst_state = f"{mol.name} n={n} l={l} q={which}"
@@ -137,7 +132,7 @@ def check_hft(constants=PAPER) -> list[CheckResult]:
                     f"worst rel gap={worst_gap:.2e} at {worst_state} (tol 1e-12)")]
 
 
-def check_nu(constants=PAPER) -> list[CheckResult]:
+def check_nu() -> list[CheckResult]:
     results = []
     worst_res = 0.0
     flagged = []
@@ -145,7 +140,7 @@ def check_nu(constants=PAPER) -> list[CheckResult]:
         p = PotentialParams.from_molecule(mol)
         for n in SWEEP_N:
             for l in SWEEP_L:
-                res = energy(p, mol.mu, n, l, constants)
+                res = energy(p, mol.mu, n, l, PAPER)
                 worst_res = max(worst_res, res.nu_residual)
                 if not res.bound_condition_ok:
                     flagged.append((mol.name, n, l))
@@ -166,7 +161,7 @@ def check_nu(constants=PAPER) -> list[CheckResult]:
         p = PotentialParams.from_molecule(mol)
         for conv in ("literal", "orthodox"):
             for n, l in ((0, 0), (2, 1)):
-                total = _norm_recheck(p, mol.mu, n, l, constants, conv)
+                total = _norm_recheck(p, mol.mu, n, l, conv)
                 if abs(total - 1.0) > 1e-6:
                     norm_ok = False
                     detail = f"{name} n={n} l={l} {conv}: integral={total!r}"
@@ -179,7 +174,7 @@ def check_nu(constants=PAPER) -> list[CheckResult]:
     p = PotentialParams.from_molecule(mol)
     r = np.linspace(1e-3, 40.0, 40001)
     for n in range(5):
-        psi = wavefunction(r, p, mol.mu, n, 0, constants, normalized=False,
+        psi = wavefunction(r, p, mol.mu, n, 0, PAPER, normalized=False,
                            convention="orthodox")
         got = count_sign_changes(psi)
         if got != n:
@@ -190,7 +185,7 @@ def check_nu(constants=PAPER) -> list[CheckResult]:
     return results
 
 
-def _norm_recheck(p, mu, n, l, constants, convention):
+def _norm_recheck(p, mu, n, l, convention):
     """N^2 times the integral of psi^2 over (0, r_max), re-done on the r axis.
 
     Composite 20-point Gauss-Legendre on 200 equal panels: numpy only, and
@@ -198,38 +193,38 @@ def _norm_recheck(p, mu, n, l, constants, convention):
     normalization_constant sums over.  At r_max, s^(2 sqrtP) is below 1e-18
     and ten screening lengths have been added.
     """
-    res_norm = normalization_constant(p, mu, n, l, constants, convention)
-    sqrt_p = abs(energy(p, mu, n, l, constants).root)
+    res_norm = normalization_constant(p, mu, n, l, PAPER, convention)
+    sqrt_p = abs(energy(p, mu, n, l, PAPER).root)
     r_max = 1.5 * 12.0 * math.log(10.0) / (4.0 * p.alpha * sqrt_p) + 10.0 / p.alpha
     nodes, weights = np.polynomial.legendre.leggauss(20)
     half = 0.5 * r_max / 200
     r = np.linspace(0.0, r_max, 201)[:-1, None] + half * (1.0 + nodes)
-    psi = wavefunction(r, p, mu, n, l, constants, normalized=False,
+    psi = wavefunction(r, p, mu, n, l, PAPER, normalized=False,
                        convention=convention)
     return float(np.sum(psi**2 @ weights) * half) * res_norm**2
 
 
-def _anchor_slope(name, step, k_states, constants):
+def _anchor_slope(name, step, k_states):
     """Central difference of the anchor's lowest levels in mu or one potential strength."""
     base = ANCHOR_MU if name == "mu" else getattr(ANCHOR, name)
     values = (base + step, base - step)
     levels = []
     for value in values:
         p, mu = (ANCHOR, value) if name == "mu" else (replace(ANCHOR, **{name: value}), ANCHOR_MU)
-        levels.append(solve_matrix(p, 0, mu, ANCHOR_CFG, k_states, constants).eigenvalues)
+        levels.append(solve_matrix(p, 0, mu, ANCHOR_CFG, k_states, PAPER).eigenvalues)
     return (levels[0] - levels[1]) / (values[0] - values[1])
 
 
-def check_oracle(constants=PAPER) -> list[CheckResult]:
+def check_oracle() -> list[CheckResult]:
     results = []
 
     # particle in a box: V = 0 on (0, L), closed-form levels
     box_p = PotentialParams(v0=0.0, a=0.0, b=0.0, c=0.0, alpha=1.0)
     cfg = OracleConfig(r_min=1e-9, r_max=1.0, n_points=20000)
-    sol = solve_matrix(box_p, 0, 1.0, cfg, 5, constants, below_asymptote_only=False)
+    sol = solve_matrix(box_p, 0, 1.0, cfg, 5, PAPER, below_asymptote_only=False)
     worst = 0.0
     for k in range(5):
-        exact = hbar2_over_2mu(1.0, constants) * ((k + 1) * math.pi / 1.0) ** 2
+        exact = hbar2_over_2mu(1.0, PAPER) * ((k + 1) * math.pi / 1.0) ** 2
         worst = max(worst, abs(sol.eigenvalues[k] - exact) / exact)
     results.append(_result("box-calibration", worst <= 1e-6,
                            f"worst rel err={worst:.2e} (tol 1e-6, k <= 5)"))
@@ -237,9 +232,8 @@ def check_oracle(constants=PAPER) -> list[CheckResult]:
     # grid convergence order on the anchor ground state
     es = []
     for n_points in (2500, 5000, 10000):
-        c = OracleConfig(r_min=ANCHOR_CFG.r_min, r_max=ANCHOR_CFG.r_max,
-                         n_points=n_points)
-        es.append(solve_matrix(ANCHOR, 0, ANCHOR_MU, c, 1, constants).eigenvalues[0])
+        c = replace(ANCHOR_CFG, n_points=n_points)
+        es.append(solve_matrix(ANCHOR, 0, ANCHOR_MU, c, 1, PAPER).eigenvalues[0])
     order = math.log2(abs((es[0] - es[1]) / (es[1] - es[2])))
     results.append(_result("grid-convergence-order", 1.8 <= order <= 2.2,
                            f"observed order={order:.3f} (expect [1.8, 2.2])"))
@@ -248,23 +242,23 @@ def check_oracle(constants=PAPER) -> list[CheckResult]:
     hyd = PotentialParams(v0=0.0, a=1.0, b=0.0, c=0.0, alpha=1e-4)
     sol_h = solve_matrix(hyd, 0, 1.0, OracleConfig(r_min=1e-6, r_max=40.0,
                                                    n_points=20000),
-                         1, constants, below_asymptote_only=False)
+                         1, PAPER, below_asymptote_only=False)
     e_h = sol_h.eigenvalues[0]
     rel_h = abs(e_h + 0.5) / 0.5
     results.append(_result("hydrogenic-limit", rel_h <= 1e-3,
                            f"E0={e_h:.6f} vs -1/2, rel={rel_h:.2e} (tol 1e-3)"))
 
     # screened-well anchor: closed form is exact at l = 0
-    e_exact = energy_hulthen(2.0, 0.05, 1.0, 0, 0, PAPER)
-    sol_a = solve_matrix(ANCHOR, 0, ANCHOR_MU, ANCHOR_CFG, 3, constants)
+    e_exact, e_next = (energy_hulthen(ANCHOR.v0, ANCHOR.alpha, ANCHOR_MU, k, 0, PAPER)
+                       for k in (0, 1))
+    sol_a = solve_matrix(ANCHOR, 0, ANCHOR_MU, ANCHOR_CFG, 3, PAPER)
     rel_matrix = abs(sol_a.eigenvalues[0] - e_exact) / abs(e_exact)
     results.append(_result("anchor-analytic-vs-matrix", rel_matrix <= 1e-4,
                            f"rel={rel_matrix:.2e} (tol 1e-4)"))
 
     # bracketed halfway to the exact neighbouring levels, not by the matrix
-    e_next = energy_hulthen(2.0, 0.05, 1.0, 1, 0, PAPER)
     bracket = ((3.0 * e_exact - e_next) / 2.0, (e_exact + e_next) / 2.0)
-    num = solve_numerov(ANCHOR, 0, ANCHOR_MU, ANCHOR_CFG, bracket, constants)
+    num = solve_numerov(ANCHOR, 0, ANCHOR_MU, ANCHOR_CFG, bracket, PAPER)
     rel_dual = abs(sol_a.eigenvalues[0] - num.energy) / abs(num.energy)
     results.append(_result("anchor-matrix-vs-numerov", rel_dual <= 1e-6,
                            f"rel={rel_dual:.2e} (tol 1e-6)"))
@@ -283,7 +277,7 @@ def check_oracle(constants=PAPER) -> list[CheckResult]:
             ("numeric-hft-r_m2", "b", 1e-6, "r_m2", 1.0, "<r^-2>", "dE/dB", "1e-8"),
             ("numeric-hft-kinetic", "mu", 1e-5 * ANCHOR_MU, "kinetic", -ANCHOR_MU,
              "<T>", "-mu dE/dmu", "1e-8")):
-        slope = factor * _anchor_slope(q, step, 2, constants)
+        slope = factor * _anchor_slope(q, step, 2)
         mean = np.array([expectation_numeric(sol_a, k, observable) for k in range(2)])
         rel = np.abs(slope - mean) / np.abs(mean)
         results.append(_result(name, np.all(rel <= float(tol)),
@@ -293,7 +287,7 @@ def check_oracle(constants=PAPER) -> list[CheckResult]:
     # <T> on the grid against the closed form, exact on the anchor; the
     # r_max = 1.1 window puts k = 1 3.5e-4 off, so only k = 0
     kinetic = expectation_numeric(sol_a, 0, "kinetic")
-    exact_t = -ANCHOR_MU * d_energy_d_param(ANCHOR, ANCHOR_MU, 0, 0, "mu", constants).analytic
+    exact_t = -ANCHOR_MU * d_energy_d_param(ANCHOR, ANCHOR_MU, 0, 0, "mu", PAPER).analytic
     rel_t = abs(kinetic - exact_t) / abs(exact_t)
     results.append(_result("anchor-kinetic-vs-closed-form", rel_t <= 1e-4,
                            f"<T>={kinetic:.6f} vs -mu dE/dmu={exact_t:.6f}, "
@@ -304,7 +298,7 @@ def check_oracle(constants=PAPER) -> list[CheckResult]:
     # empty and the solver must say so
     h2 = BUILTIN_MOLECULES["h2"]
     sol_h2 = solve_matrix(PotentialParams.from_molecule(h2), 0, h2.mu,
-                          OracleConfig(), 1, constants)
+                          OracleConfig(), 1, PAPER)
     results.append(_result("unbound-molecule-diagnostic",
                            len(sol_h2.eigenvalues) == 0 and bool(sol_h2.diagnostics),
                            "; ".join(sol_h2.diagnostics) or "missing diagnostic"))
@@ -319,14 +313,14 @@ SUITES = {
 }
 
 
-def run_suite(name: str, constants=PAPER) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     """Run one suite (or ``all``) and return every assertion result."""
     if name == "all":
         out = []
         for key in ("reduction", "hft", "nu", "oracle"):
-            out.extend(SUITES[key](constants))
+            out.extend(SUITES[key]())
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{tuple(SUITES)} or 'all'")
-    return SUITES[name](constants)
+    return SUITES[name]()

@@ -8,11 +8,11 @@ wave-function figures), ``check`` (verification suites), ``molecules``
 
 Output is deterministic: fixed row ordering, floats at 12 significant
 digits, no timestamps.  Exit codes: 0 success, 1 check failure, 2 domain
-error (NaN or infinite input included, and finite input whose arithmetic
-leaves double range), 3 unknown molecule/table lookup.
+error (NaN or infinite input, and any result that leaves double range),
+3 unknown molecule/table lookup.
 
-Window, grid and point-count defaults belong to the library functions the
-commands call; an option the user leaves out is not passed on.
+Every default of a library parameter belongs to the library function the
+command calls; an option the user leaves out is not passed on.
 
 ``checks`` and ``oracle`` import numpy at module level and are imported by
 the commands that use them, so ``energy``, ``table``, ``expect`` without
@@ -22,18 +22,18 @@ the commands that use them, so ``energy``, ``table``, ``expect`` without
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .constants import CONSTANTS_VERSION, for_mode, get_molecule, registry
 from .errors import DomainError, HyiqpError, UnknownMoleculeError
-from .hft import OBSERVABLES, expectation_report
-from .potential import PotentialParams
+from .hft import OBSERVABLES, ReportRow, expectation_report
+from .potential import DEFAULT_V0, PotentialParams
 from .spectrum import WAVEFUNCTION_CONVENTIONS, energy
-from .tables import (MISSING_TABLE_IDS, TABLE_SPECS, figure_potential_data,
-                     figure_wavefunction_data, load_fixture, regenerate_table,
-                     table_spec)
+from .tables import (figure_potential_data, figure_wavefunction_data,
+                     observable_fixture, regenerate_table)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,18 +42,24 @@ EXIT_LOOKUP = 3
 
 
 def fmt(value) -> str:
-    """Fixed 12-significant-digit formatting; empty string for missing cells."""
+    """Fixed 12-significant-digit formatting; empty string for missing cells.
+
+    A non-finite float, from finite input whose arithmetic left double range
+    without raising, is a DomainError.  Floats, most cells, are tested first.
+    """
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"the input leaves double range (a result is {value!r})")
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
 
 
 class Envelope:
-    """Deterministic CSV/JSON writer with a metadata block."""
+    """Deterministic CSV/JSON writer; every cell is formatted (fmt) before any is written."""
 
     def __init__(self, meta: dict, columns, rows):
         self.meta = meta
@@ -79,15 +85,9 @@ def _emit(env: Envelope, args) -> None:
         sys.stdout.write(text)
 
 
-def _meta(args, mode: str, extra: dict | None = None) -> dict:
-    meta = {
-        "mode": mode,
-        "constants": CONSTANTS_VERSION,
-        "command": "hyiqp " + " ".join(args.raw_argv),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _meta(args, mode: str, **extra) -> dict:
+    return {"mode": mode, "constants": CONSTANTS_VERSION,
+            "command": "hyiqp " + " ".join(args.raw_argv), **extra}
 
 
 def _finite_float(text: str) -> float:
@@ -112,25 +112,19 @@ def _finite_list(text: str, option: str, count: int | None = None) -> list[float
     return values
 
 
-def _parse_params(text: str) -> PotentialParams:
-    v0, a, b, c, alpha = _finite_list(text, "--params V0,A,B,C,alpha", 5)
-    return PotentialParams(v0=v0, a=a, b=b, c=c, alpha=alpha)
-
-
 def _given(**options) -> dict:
     """The options the user set; the rest keep the library's defaults."""
     return {key: value for key, value in options.items() if value is not None}
 
 
 def cmd_energy(args) -> int:
-    constants = for_mode(args.mode)
     if args.params is not None:
         if args.mu is None:
             raise DomainError("--params requires --mu")
         if args.v0 is not None:
             raise DomainError("--v0 applies to --molecule; with --params set V0 "
                               "as the first of the five values")
-        p = _parse_params(args.params)
+        p = PotentialParams(*_finite_list(args.params, "--params V0,A,B,C,alpha", 5))
         mu = args.mu
         label = "params"
     else:
@@ -138,12 +132,12 @@ def cmd_energy(args) -> int:
             raise DomainError("--mu applies to --params; molecules carry their "
                               "own reduced mass")
         mol = get_molecule(args.molecule)
-        p = PotentialParams.from_molecule(mol, v0=args.v0 or 0.0)
+        p = PotentialParams.from_molecule(mol, **_given(v0=args.v0))
         mu = mol.mu
         label = mol.name
-    res = energy(p, mu, args.n, args.l, constants)
+    res = energy(p, mu, args.n, args.l, for_mode(args.mode))
     env = Envelope(
-        _meta(args, args.mode, {"system": label, "v0": fmt(p.v0)}),
+        _meta(args, args.mode, system=label, v0=fmt(p.v0)),
         ("n", "l", "energy", "gamma", "nu_residual", "eps2", "tau_slope",
          "bound_condition_ok", "below_asymptote"),
         [(res.n, res.l, res.energy, res.gamma, res.nu_residual, res.eps2,
@@ -153,82 +147,64 @@ def cmd_energy(args) -> int:
     return EXIT_OK
 
 
-REPORT_COLUMNS = ("n", "l", "paper_formula", "machine_derivative", "oracle",
-                  "paper_table", "dev_pf_md", "dev_md_oracle", "dev_vs_table",
-                  "note")
+REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(ReportRow))
 
 
 def _report_rows(rows):
-    return [(r.n, r.l, r.paper_formula, r.machine_derivative, r.oracle,
-             r.paper_table, r.dev_pf_md, r.dev_md_oracle, r.dev_vs_table,
-             r.note) for r in rows]
+    return [[getattr(r, column) for column in REPORT_COLUMNS] for r in rows]
 
 
 def cmd_expect(args) -> int:
-    constants = for_mode(args.mode)
     mol = get_molecule(args.molecule)
-    oracle_solutions = None
+    p = PotentialParams.from_molecule(mol, **_given(v0=args.v0))
+    oracle = None
     if args.oracle:
-        from .oracle import default_config, solve_matrix
+        from .oracle import default_config
 
-        p = PotentialParams.from_molecule(mol, v0=args.v0)
-        cfg = default_config(mol.alpha, **_given(n_points=args.oracle_points))
-        oracle_solutions = {
-            l: solve_matrix(p, l, mol.mu, cfg, args.n_max + 1, constants)
-            for l in range(args.l_max + 1)
-        }
-    fixtures = None
-    for spec in TABLE_SPECS.values():
-        if (spec.observable == args.observable and spec.molecule == mol.name
-                and spec.fixture_file):
-            fixtures = load_fixture(spec.table_id)
-            break
+        oracle = default_config(mol.alpha)
     rows = expectation_report(
-        mol, args.observable, n_max=args.n_max, l_max=args.l_max,
-        constants=constants, v0=args.v0, exp_factor_r=args.exp_factor_r,
-        fixtures=fixtures, oracle_solutions=oracle_solutions)
+        mol, args.observable, constants=for_mode(args.mode), v0=p.v0,
+        fixtures=observable_fixture(mol.name, args.observable), oracle=oracle,
+        **_given(n_max=args.n_max, l_max=args.l_max, exp_factor_r=args.exp_factor_r))
     env = Envelope(
-        _meta(args, args.mode, {"molecule": mol.name, "observable": args.observable,
-                                "v0": fmt(args.v0)}),
+        _meta(args, args.mode, molecule=mol.name, observable=args.observable,
+              v0=fmt(p.v0)),
         REPORT_COLUMNS, _report_rows(rows))
     _emit(env, args)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    spec = table_spec(args.id)
-    constants = for_mode(args.mode)
-    result = regenerate_table(spec.table_id, constants, v0=args.v0)
+    result = regenerate_table(args.id, for_mode(args.mode), **_given(v0=args.v0))
     extra = {"table": result.table_id, "label": result.label}
     for i, note in enumerate(result.notes):
         extra[f"note{i + 1}"] = note
-    env = Envelope(_meta(args, args.mode, extra), REPORT_COLUMNS,
+    env = Envelope(_meta(args, args.mode, **extra), REPORT_COLUMNS,
                    _report_rows(result.rows))
     _emit(env, args)
     if result.missing:
         sys.stderr.write(
-            f"table {spec.table_id}: missing from the reference set "
+            f"table {result.table_id}: missing from the reference set "
             "(see table 2b for the unattributed candidate block)\n")
     return EXIT_OK
 
 
 def cmd_figure(args) -> int:
-    constants = for_mode(args.mode)
     window = _given(r_min=args.r_min, r_max=args.r_max, n_points=args.points)
     if args.id in (1, 2):
         mol = get_molecule(args.molecule)
-        p = PotentialParams.from_molecule(mol, v0=args.v0)
+        p = PotentialParams.from_molecule(mol, **_given(v0=args.v0))
         if args.alphas is not None:
             window["alphas"] = tuple(_finite_list(args.alphas, "--alphas"))
         columns, cols, extra = figure_potential_data(args.id, p, **window)
         rows = list(zip(*cols))
-        extra.update({"figure": str(args.id), "molecule": mol.name, "v0": fmt(args.v0)})
+        extra.update({"figure": str(args.id), "molecule": mol.name, "v0": fmt(p.v0)})
     else:
         columns, rows, extra = figure_wavefunction_data(
-            args.id, constants, n=args.n, v0=args.v0, convention=args.convention,
-            **window)
+            args.id, for_mode(args.mode), **window,
+            **_given(n=args.n, v0=args.v0, convention=args.convention))
         extra["figure"] = str(args.id)
-    env = Envelope(_meta(args, args.mode, extra), columns, rows)
+    env = Envelope(_meta(args, args.mode, **extra), columns, rows)
     _emit(env, args)
     return EXIT_OK
 
@@ -281,44 +257,44 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--mode", choices=("paper", "physical"), default="physical")
     sp.add_argument("--v0", type=_finite_float, default=None,
-                    help="well depth for --molecule runs (default 0; absent from "
-                         "the tabulated constants)")
+                    help=f"well depth for --molecule runs (default {DEFAULT_V0:g}; "
+                         "absent from the tabulated constants)")
     add_io(sp)
     sp.set_defaults(func=cmd_energy)
 
     sp = sub.add_parser("expect", help="expectation-value discrepancy report")
     sp.add_argument("--molecule", required=True)
     sp.add_argument("--observable", choices=OBSERVABLES, required=True)
-    sp.add_argument("--n-max", type=int, default=8)
-    sp.add_argument("--l-max", type=int, default=3)
+    # the defaults of these four options are expectation_report's
+    sp.add_argument("--n-max", type=int, default=None)
+    sp.add_argument("--l-max", type=int, default=None)
     sp.add_argument("--mode", choices=("paper", "physical"), default="physical")
-    sp.add_argument("--v0", type=_finite_float, default=0.0)
+    sp.add_argument("--v0", type=_finite_float, default=None)
     sp.add_argument("--exp-factor-r", type=_finite_float, default=None,
                     help="r* in the exp(alpha r*) prefactor of <r^-1> (default: unit prefactor)")
     sp.add_argument("--oracle", action="store_true",
                     help="add the grid-oracle column (slow)")
-    sp.add_argument("--oracle-points", type=int, default=None,
-                    help="grid points of the oracle (default: the oracle's default grid)")
     add_io(sp)
     sp.set_defaults(func=cmd_expect)
 
     sp = sub.add_parser("table", help="regenerate a bundled reference table")
     sp.add_argument("id", help="2, 2b, or 3..17")
     sp.add_argument("--mode", choices=("paper", "physical"), default="paper")
-    sp.add_argument("--v0", type=_finite_float, default=0.0)
+    sp.add_argument("--v0", type=_finite_float, default=None)
     add_io(sp)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("figure", help="plot-ready data for figures 1..9")
     sp.add_argument("id", type=int, choices=range(1, 10))
     sp.add_argument("--molecule", default="H2", help="molecule for figures 1-2")
+    # the defaults of the options below are figure_potential_data's and
+    # figure_wavefunction_data's
     sp.add_argument("--mode", choices=("paper", "physical"), default="paper")
-    sp.add_argument("--v0", type=_finite_float, default=0.0)
+    sp.add_argument("--v0", type=_finite_float, default=None)
     sp.add_argument("--alphas", default=None,
                     help="four comma-separated screening values for figure 1")
-    sp.add_argument("--n", type=int, default=0, help="radial quantum number, figures 3-9")
-    sp.add_argument("--convention", choices=WAVEFUNCTION_CONVENTIONS, default="literal")
-    # the window defaults are figure_potential_data's and figure_wavefunction_data's
+    sp.add_argument("--n", type=int, default=None, help="radial quantum number, figures 3-9")
+    sp.add_argument("--convention", choices=WAVEFUNCTION_CONVENTIONS, default=None)
     sp.add_argument("--r-min", type=_finite_float, default=None)
     sp.add_argument("--r-max", type=_finite_float, default=None,
                     help="default: the figure's own window")

@@ -31,11 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .constants import Molecule, PhysicalConstants, hbar2_over_2mu, mu_energy_units
 from .errors import DomainError
-from .potential import PotentialParams
+from .potential import DEFAULT_V0, PotentialParams
 from .spectrum import _energy_pieces, energy_value
+
+if TYPE_CHECKING:       # the oracle imports numpy; the closed form loads none
+    from .oracle import OracleConfig
 
 COMPLEX_STEP = 1e-200
 DERIVATIVE_PARAMS = ("l", "A", "mu")
@@ -73,14 +77,12 @@ def _analytic_derivative(p: PotentialParams, mu: float, n: int, l: float,
         dm = (2.0 * l + 1.0) + (n + 0.5) * dgamma
         dd = dgamma
         return -8.0 * h2 * a2 * x * (dm * d_den - m_num * dd) / d_den**2
-    if which == "mu":
-        # every sigma group is proportional to mu; h2 carries 1/mu
-        dgamma = 2.0 * sigma2 / (mu * gamma)
-        dm = (sigma2 - sigma1 - delta2) / mu + (n + 0.5) * dgamma
-        dd = dgamma
-        dx = (dm * d_den - m_num * dd) / d_den**2
-        return (4.0 * h2 * a2 * x / mu) * (x - 2.0 * mu * dx)
-    raise DomainError(f"unknown derivative parameter {which!r}; choose from {DERIVATIVE_PARAMS}")
+    # mu: every sigma group is proportional to mu; h2 carries 1/mu
+    dgamma = 2.0 * sigma2 / (mu * gamma)
+    dm = (sigma2 - sigma1 - delta2) / mu + (n + 0.5) * dgamma
+    dd = dgamma
+    dx = (dm * d_den - m_num * dd) / d_den**2
+    return (4.0 * h2 * a2 * x / mu) * (x - 2.0 * mu * dx)
 
 
 def _complex_step_derivative(p: PotentialParams, mu: float, n: int, l: float,
@@ -90,16 +92,17 @@ def _complex_step_derivative(p: PotentialParams, mu: float, n: int, l: float,
         e = energy_value(p, mu, n, l + step, constants)
     elif which == "A":
         e = energy_value(replace(p, a=p.a + step), mu, n, l, constants)
-    elif which == "mu":
-        e = energy_value(p, mu + step, n, l, constants)
     else:
-        raise DomainError(f"unknown derivative parameter {which!r}")
+        e = energy_value(p, mu + step, n, l, constants)
     return e.imag / COMPLEX_STEP
 
 
 def d_energy_d_param(p: PotentialParams, mu: float, n: int, l: float, which: str,
                      constants: PhysicalConstants) -> DerivativeResult:
     """dE/dq for q in {l, A, mu}, by chain rule and by complex step."""
+    if which not in DERIVATIVE_PARAMS:
+        raise DomainError(
+            f"unknown derivative parameter {which!r}; choose from {DERIVATIVE_PARAMS}")
     analytic = _analytic_derivative(p, mu, n, l, which, constants)
     machine = _complex_step_derivative(p, mu, n, l, which, constants)
     gap = abs(analytic - machine) / max(1.0, abs(machine))
@@ -169,27 +172,28 @@ def rel_dev(a: float | None, b: float | None) -> float | None:
 
 
 def expectation_report(molecule: Molecule, observable: str, n_max: int = 8,
-                       l_max: int = 3, constants: PhysicalConstants = None, *,
-                       v0: float = 0.0, exp_factor_r: float | None = None,
+                       l_max: int = 3, *, constants: PhysicalConstants,
+                       v0: float = DEFAULT_V0, exp_factor_r: float | None = None,
                        fixtures: dict | None = None,
-                       oracle_solutions: dict | None = None) -> list[ReportRow]:
+                       oracle: OracleConfig | None = None) -> list[ReportRow]:
     """Per-(n, l) dual-path values with optional oracle and fixture columns.
 
-    ``fixtures`` maps (n, l) to reference table values; ``oracle_solutions``
-    maps l to a RadialGridSolution from the grid module (the caller decides
-    whether to spend the solve time).  Cells the oracle cannot fill (state
-    not bound in the exact potential) carry a note instead of a number.
-    Rows are emitted in (n, l) order, so repeated runs are byte-identical
-    once formatted.
+    ``fixtures`` maps (n, l) to reference table values.  With an ``oracle``
+    grid the report solves the exact potential's n_max + 1 lowest levels for
+    each l <= l_max on it (the caller decides whether to spend the solve
+    time); cells the oracle cannot fill (state not bound in the exact
+    potential) carry a note instead of a number.  Rows are emitted in (n, l)
+    order, so repeated runs are byte-identical once formatted.
     """
-    if constants is None:
-        raise DomainError("constants mode must be given explicitly")
     if not (0 <= n_max <= 12 and 0 <= l_max <= 12):
         raise DomainError("report grids need 0 <= n_max, l_max <= 12")
     oracle_obs = {"r-2": "r_m2", "r-1": "r_m1_screened", "T": "kinetic", "p2": "p2"}
-    if oracle_solutions is not None:
-        from .oracle import expectation_numeric
     p = PotentialParams.from_molecule(molecule, v0=v0)
+    if oracle is not None:
+        from .oracle import expectation_numeric, solve_matrix
+
+        solutions = [solve_matrix(p, l, molecule.mu, oracle, n_max + 1, constants)
+                     for l in range(l_max + 1)]
     rows = []
     for n in range(n_max + 1):
         for l in range(l_max + 1):
@@ -197,10 +201,9 @@ def expectation_report(molecule: Molecule, observable: str, n_max: int = 8,
                                         constants, exp_factor_r)
             oracle_val = None
             note = ""
-            if oracle_solutions is not None:
-                sol = oracle_solutions.get(l)
-                if sol is not None and n < len(sol.eigenvalues):
-                    oracle_val = expectation_numeric(sol, n, oracle_obs[observable])
+            if oracle is not None:
+                if n < len(solutions[l].eigenvalues):
+                    oracle_val = expectation_numeric(solutions[l], n, oracle_obs[observable])
                 else:
                     note = "oracle: state not bound below the asymptote"
             fixture_val = None if fixtures is None else fixtures.get((n, l))

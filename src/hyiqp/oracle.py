@@ -84,9 +84,9 @@ class OracleConfig:
             raise DomainError("n_points must be at least 1000")
 
 
-def default_config(alpha: float, n_points: int = 20000) -> OracleConfig:
-    """Default window scaled with the screening length 1/alpha."""
-    return OracleConfig(r_max=DEFAULT_R_MAX_TIMES_ALPHA / alpha, n_points=n_points)
+def default_config(alpha: float) -> OracleConfig:
+    """Default window scaled with the screening length 1/alpha, on OracleConfig's grid."""
+    return OracleConfig(r_max=DEFAULT_R_MAX_TIMES_ALPHA / alpha)
 
 
 @dataclass

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from .constants import PhysicalConstants, Molecule, hbar2_over_2mu
 from .errors import DomainError
 
+# the well depth of a molecule run: the tabulated constants carry none
+DEFAULT_V0 = 0.0
+
 
 @dataclass(frozen=True)
 class PotentialParams:
@@ -35,9 +38,14 @@ class PotentialParams:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
 
     @classmethod
-    def from_molecule(cls, mol: Molecule, v0: float = 0.0) -> "PotentialParams":
+    def from_molecule(cls, mol: Molecule, v0: float = DEFAULT_V0) -> "PotentialParams":
         """Molecule constants with an explicit well depth (tabulated data carry none)."""
         return cls(v0=v0, a=mol.a, b=mol.b, c=mol.c, alpha=mol.alpha)
+
+
+def _check_alpha(alpha: float) -> None:
+    if alpha <= 0.0:
+        raise DomainError("alpha must be positive")
 
 
 def _check_r(r):
@@ -60,13 +68,27 @@ def potential(r, p: PotentialParams):
 
 
 def hulthen(r, v0: float, alpha: float):
-    """Screened short-range well: the A = B = C = 0 limit."""
-    return potential(r, PotentialParams(v0=v0, a=0.0, b=0.0, c=0.0, alpha=alpha))
+    """Screened short-range well: the A = B = C = 0 limit, written out on its own.
+
+    + 0.0 turns a zero strength's -0.0 into the 0.0 that potential() gives.
+    """
+    import numpy as np
+
+    _check_alpha(alpha)
+    r = _check_r(r)
+    e2 = np.exp(-2.0 * alpha * r)
+    v = -v0 * e2 / (1.0 - e2) + 0.0
+    return v if v.ndim else float(v)
 
 
 def yukawa(r, a: float, alpha: float):
-    """Screened Coulomb well: the V0 = B = C = 0 limit."""
-    return potential(r, PotentialParams(v0=0.0, a=a, b=0.0, c=0.0, alpha=alpha))
+    """Screened Coulomb well: the V0 = B = C = 0 limit, written out as hulthen is."""
+    import numpy as np
+
+    _check_alpha(alpha)
+    r = _check_r(r)
+    v = -a * np.exp(-alpha * r) / r + 0.0
+    return v if v.ndim else float(v)
 
 
 def inverse_quadratic(r, b: float):
@@ -78,8 +100,7 @@ def inverse_quadratic(r, b: float):
 
 def greene_aldrich_inv_r2(r, alpha: float):
     """Exponential-ratio surrogate for 1/r^2, valid for small alpha*r."""
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    _check_alpha(alpha)
     import numpy as np
 
     r = _check_r(r)
@@ -97,8 +118,7 @@ def greene_aldrich_inv_r(r, alpha: float):
     two candidate forms is quantified by the check suites rather than
     resolved here.
     """
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    _check_alpha(alpha)
     import numpy as np
 
     r = _check_r(r)
@@ -118,8 +138,7 @@ def effective_potential(r, p: PotentialParams, l: int, mu: float,
     return v if np.ndim(v) else float(v)
 
 
-def potential_curves(p: PotentialParams, r_min: float = 0.05, r_max: float = 10.0,
-                     n_points: int = 512):
+def potential_curves(p: PotentialParams, r_min: float, r_max: float, n_points: int):
     """Plot-ready samples (r, combined, hulthen, yukawa, inverse-quadratic).
 
     Used for figure emission; the three partial curves use the same

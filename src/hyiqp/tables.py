@@ -27,7 +27,7 @@ from importlib import resources
 from .constants import PAPER, PhysicalConstants, get_molecule
 from .errors import DomainError
 from .hft import ReportRow, expectation_report
-from .potential import PotentialParams, potential, potential_curves
+from .potential import DEFAULT_V0, PotentialParams, potential, potential_curves
 from .spectrum import wavefunction
 
 FIGURE_MOLECULES = ("H2", "LiH", "HCl", "CO")
@@ -80,19 +80,14 @@ def _fixture_bytes(filename: str) -> bytes:
 
 def load_fixture(table_id: str) -> dict[tuple[int, int], float]:
     """Fixture values keyed by (n, l)."""
-    spec = table_spec(table_id)
-    if spec.fixture_file is None:
-        raise DomainError(f"table {table_id} has no fixture data (never published)")
-    text = _fixture_bytes(spec.fixture_file).decode("utf-8")
-    out = {}
-    for row in csv.DictReader(io.StringIO(text)):
-        out[(int(row["n"]), int(row["l"]))] = float(row["value"])
-    return out
+    return {key: float(token) for key, token in fixture_tokens(table_id).items()}
 
 
 def fixture_tokens(table_id: str) -> dict[tuple[int, int], str]:
-    """Verbatim fixture tokens, for transcription tests."""
+    """Verbatim fixture tokens keyed by (n, l), for transcription tests."""
     spec = table_spec(table_id)
+    if spec.fixture_file is None:
+        raise DomainError(f"table {table_id} has no fixture data (never published)")
     text = _fixture_bytes(spec.fixture_file).decode("utf-8")
     return {(int(r["n"]), int(r["l"])): r["value"]
             for r in csv.DictReader(io.StringIO(text))}
@@ -118,6 +113,13 @@ def table_spec(table_id: str) -> TableSpec:
     return spec
 
 
+def observable_fixture(molecule: str, observable: str) -> dict | None:
+    """The published reference values of one molecule's observable, or None."""
+    ids = [spec.table_id for spec in TABLE_SPECS.values() if spec.fixture_file
+           and (spec.molecule, spec.observable) == (molecule, observable)]
+    return load_fixture(ids[0]) if ids else None
+
+
 @dataclass(frozen=True)
 class TableResult:
     """Regenerated grid plus provenance notes for one table id."""
@@ -130,7 +132,7 @@ class TableResult:
 
 
 def regenerate_table(table_id: str, constants: PhysicalConstants = PAPER, *,
-                     v0: float = 0.0) -> TableResult:
+                     v0: float = DEFAULT_V0) -> TableResult:
     """Recompute one reference table with fixture and deviation columns.
 
     The grid is expectation_report's default n <= 8, l <= 3, the reference
@@ -193,7 +195,7 @@ def figure_potential_data(figure_id: int, p: PotentialParams, *,
 
 
 def figure_wavefunction_data(figure_id: int, constants: PhysicalConstants, *,
-                             n: int = 0, v0: float = 0.0,
+                             n: int = 0, v0: float = DEFAULT_V0,
                              convention: str = "literal",
                              r_min: float = 0.05, r_max: float = 20.0,
                              n_points: int = 512):

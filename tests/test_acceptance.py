@@ -47,7 +47,7 @@ def suite_run():
     def run(suite):
         if suite not in runs:
             t0 = time.perf_counter()
-            results = checks.run_suite(suite, PAPER)
+            results = checks.run_suite(suite)
             runs[suite] = (results, time.perf_counter() - t0)
         return runs[suite]
 

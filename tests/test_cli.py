@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyiqp.checks import ANCHOR, ANCHOR_CFG
 from hyiqp.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_LOOKUP, EXIT_OK, fmt, main
@@ -156,7 +161,7 @@ def test_check_suite_exit_codes(capsys):
 def test_check_failure_exits_one(capsys, monkeypatch):
     from hyiqp import checks
 
-    def broken(constants=None):
+    def broken():
         return [checks.CheckResult(name="injected-failure", ok=False, detail="boom")]
 
     monkeypatch.setitem(checks.SUITES, "reduction", broken)
@@ -360,7 +365,13 @@ def _collapsed_level_one_ulp_up(real):
 
 
 @pytest.mark.parametrize("name, attr, wrap", [
-    # the pure inverse-quadratic curve one ulp high; the limit is exact
+    # each named-limit curve one ulp high; the limits are exact
+    pytest.param("potential-limit-hulthen", "hulthen",
+                 lambda real: lambda *args: np.nextafter(real(*args), np.inf),
+                 id="potential-limit-hulthen"),
+    pytest.param("potential-limit-yukawa", "yukawa",
+                 lambda real: lambda *args: np.nextafter(real(*args), np.inf),
+                 id="potential-limit-yukawa"),
     pytest.param("potential-limit-inverse-quadratic", "inverse_quadratic",
                  lambda real: lambda *args: np.nextafter(real(*args), np.inf),
                  id="potential-limit-inverse-quadratic"),
@@ -443,6 +454,13 @@ def test_molecules_listing_and_env_registry(tmp_path, capsys, monkeypatch):
                  "double range", id="alpha-underflow"),
     pytest.param(("expect", "--molecule", "H2", "--observable", "r-1", "--n-max", "-1"),
                  "n_max", id="negative-n-max"),
+    # finite input whose results leave double range without raising: hbar^2/2mu
+    # of a subnormal mass is inf, and a 5.89e300 well overflows <p^2>
+    pytest.param(("energy", "--params", "1,1,1,1,1", "--mu", "1e-320", "--n", "0", "--l", "0"),
+                 "double range", id="subnormal-mu"),
+    pytest.param(("expect", "--molecule", "CO", "--observable", "p2", "--v0", "5.89e300",
+                  "--n-max", "0", "--l-max", "0", "--mode", "paper"),
+                 "double range", id="expect-v0-overflow"),
 ])
 def test_non_finite_or_extreme_input_exits_with_a_domain_error(capsys, argv, message):
     try:
@@ -463,6 +481,76 @@ def test_registry_row_with_nan_exits_with_a_domain_error(tmp_path, capsys):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.startswith("error: ") and "non-finite" in err
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_INDEX = st.integers(-1, 13).map(str)
+_MOLECULE = st.sampled_from(("H2", "LiH", "HCl", "CO"))
+
+
+@st.composite
+def _argvs(draw):
+    """argvs of energy, expect without --oracle, table --v0 and the figures.
+
+    Numbers span the whole finite double range and go in as --option=value,
+    so that argparse reads a negative or exponent-form value as a value.
+    """
+    command = draw(st.sampled_from(("energy-params", "energy", "expect", "table", "figure")))
+    if command == "energy-params":
+        values = ",".join(draw(_NUMBER) for _ in range(5))
+        argv = ["energy", f"--params={values}", f"--mu={draw(_NUMBER)}",
+                "--n", draw(_INDEX), "--l", draw(_INDEX)]
+    elif command == "energy":
+        argv = ["energy", "--molecule", draw(_MOLECULE), f"--v0={draw(_NUMBER)}",
+                "--n", draw(_INDEX), "--l", draw(_INDEX)]
+    elif command == "expect":
+        argv = ["expect", "--molecule", draw(_MOLECULE),
+                "--observable", draw(st.sampled_from(("r-2", "r-1", "T", "p2"))),
+                f"--v0={draw(_NUMBER)}", "--n-max", str(draw(st.integers(0, 3))),
+                "--l-max", str(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            argv.append(f"--exp-factor-r={draw(_NUMBER)}")
+    elif command == "table":
+        table = draw(st.sampled_from(["2", "2b"] + [str(i) for i in range(3, 18)]))
+        argv = ["table", table, f"--v0={draw(_NUMBER)}"]
+    else:
+        figure = draw(st.integers(1, 9))
+        argv = ["figure", str(figure), f"--v0={draw(_NUMBER)}", "--points", "16"]
+        if figure >= 3:
+            argv += ["--n", str(draw(st.integers(0, 3))), "--convention",
+                     draw(st.sampled_from(("literal", "weight", "orthodox")))]
+    return argv + ["--mode", draw(st.sampled_from(("paper", "physical")))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_argvs())
+def test_every_exit_keeps_the_exit_code_contract(argv):
+    # numpy's RuntimeWarnings (an overflowing Jacobi sum before its
+    # ConvergenceError, say) do not raise, as in the installed script; they
+    # are recorded here instead of printed
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:      # argparse rejects an option's value
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_LOOKUP), err.getvalue()
+    if code == EXIT_OK:
+        for line in out.getvalue().splitlines():
+            if line.startswith("#"):
+                continue
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (cell, line)
+    else:
+        assert out.getvalue() == ""
+        assert sum("error: " in line for line in err.getvalue().splitlines()) == 1
+        assert "Traceback" not in err.getvalue()
 
 
 def test_fmt_12_significant_digits():
@@ -545,8 +633,10 @@ def test_every_exported_name_resolves():
 # for anchor-kinetic-vs-closed-form and tightened three tolerances.  The HCl T
 # pin was re-recorded again when the oracle's <T> took in the centrifugal mean
 # at l >= 1, and check all when numeric-hft-r_m2 went to a 1e-6 step and 1e-8.
-# The figure, molecules, table and energy pins hold the bytes of the commands
-# whose defaults live in the library (window, grid, points, constants).
+# The figure, molecules, table, energy and default expect pins hold the bytes
+# of the commands whose defaults live in the library (window, grid, points,
+# constants, well depth, report grid, wave-function state).  figure 2 at the
+# default V0 prints its zero Hulthen curve as 0, not -0.
 PINNED_STDOUT = [
     pytest.param(("expect", "--molecule", "H2", "--observable", "r-2", "--mode", "paper",
                   "--v0", "4.0", "--oracle"),
@@ -580,6 +670,18 @@ PINNED_STDOUT = [
     pytest.param(("energy", "--molecule", "CO", "--n", "3", "--l", "2"),
                  "fe3b66c29088209ffaccb598ca65cb1dfbb1089583d05f9b2afbc170580987d3",
                  id="energy-CO-n3-l2"),
+    pytest.param(("figure", "2"),
+                 "fcbd89cf49083c8b039e01f722f045d9ebf237eb7e27761fb3fe3f545b87aacf",
+                 id="figure-2"),
+    pytest.param(("figure", "6"),
+                 "292466757fcff44d4e0e8fb9860f46c797c024327d7ac4b2058d169ef1dc9973",
+                 id="figure-6"),
+    pytest.param(("expect", "--molecule", "HCl", "--observable", "T"),
+                 "95a3cdec951db04bf85e4c707232299a88b198e52fa55cd630ff15f015711839",
+                 id="expect-HCl-T-defaults"),
+    pytest.param(("table", "10"),
+                 "63996b3354f32bfe14401ef68b4e6e07bec7f3b6c69ed9b15430b708fc42f649",
+                 id="table-10"),
 ]
 
 

@@ -12,6 +12,7 @@ from hyiqp.hft import (d_energy_d_param, expectation_report,
                        observable_for_params, rel_dev)
 from hyiqp.oracle import OracleConfig, expectation_numeric, solve_matrix
 from hyiqp.potential import PotentialParams
+from hyiqp.spectrum import energy, energy_value
 from hyiqp.tables import load_fixture
 
 H2 = get_molecule("H2")
@@ -33,6 +34,46 @@ def _mp_level(v0, a, b, c, alpha, mu, n, l, constants):
     m_num = (sigma2 - a / (2 * h2 * alpha) - v0 / (4 * h2 * alpha**2) + ll1
              + n * n + n + half + (n + half) * gamma)
     return -4 * h2 * alpha**2 * (m_num / (1 + 2 * n + gamma)) ** 2 + c
+
+
+# |E - E_mp| / max(|E|, |C|, 1) of the closed-form level: 9.3e-16 at worst over
+# the 1296 molecule states below (CO paper V0 = 20, n = 8, l = 1) and 1.6e-15
+# over 20000 random draws from the property's ranges.  Relative to |E| alone
+# it reaches 3.4e-13 (HCl paper V0 = 20, n = 5, l = 5), where E = -9.8e-4 is
+# C minus a term of ~2.4, so C enters the scale.
+ENERGY_TOL = 4e-15
+
+
+def _assert_energy_matches_mpmath(p, mu, n, l, constants):
+    with mpmath.workdps(50):
+        ref = _mp_level(*map(mpmath.mpf, (p.v0, p.a, p.b, p.c, p.alpha, mu)), n, l,
+                        constants)
+        scale = max(abs(ref), abs(p.c), 1)
+        # the level energy prints and the one the derivatives step in q
+        for got in (energy(p, mu, n, l, constants).energy,
+                    energy_value(p, mu, n, l, constants)):
+            err = abs(mpmath.mpf(got) - ref) / scale
+            assert err <= ENERGY_TOL, (got, float(ref), float(err))
+
+
+@pytest.mark.parametrize("constants", [PAPER, PHYSICAL], ids=["paper", "physical"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_MOLECULES))
+def test_energy_matches_mpmath_on_the_molecules(name, constants):
+    mol = BUILTIN_MOLECULES[name]
+    for v0 in (0.0, 4.0, 20.0):
+        p = PotentialParams.from_molecule(mol, v0=v0)
+        for n in range(9):
+            for l in range(6):
+                _assert_energy_matches_mpmath(p, mol.mu, n, l, constants)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(v0=st.floats(0.0, 20.0), a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0),
+       c=st.floats(-5.0, 5.0), alpha=st.floats(0.05, 1.0), mu=st.floats(0.5, 10.0),
+       n=st.integers(0, 8), l=st.integers(0, 5), physical=st.booleans())
+def test_energy_matches_mpmath_everywhere(v0, a, b, c, alpha, mu, n, l, physical):
+    p = PotentialParams(v0=v0, a=a, b=b, c=c, alpha=alpha)
+    _assert_energy_matches_mpmath(p, mu, n, l, PHYSICAL if physical else PAPER)
 
 
 def _mp_derivative(p, mu, n, l, which, constants):
@@ -195,15 +236,14 @@ def test_report_layout_and_determinism():
 
 def test_report_oracle_column_on_anchor():
     cfg = OracleConfig(r_min=1e-7, r_max=1.1, n_points=20000)
-    sol = solve_matrix(ANCHOR, 0, 1.0, cfg, 2, PAPER)
-    rows = expectation_report(ANCHOR_MOL, "r-2", n_max=2, l_max=0,
-                              constants=PAPER, v0=2.0,
-                              oracle_solutions={0: sol})
+    rows = expectation_report(ANCHOR_MOL, "r-2", n_max=3, l_max=0,
+                              constants=PAPER, v0=2.0, oracle=cfg)
     by_state = {(r.n, r.l): r for r in rows}
     assert abs(by_state[(0, 0)].dev_md_oracle) <= 0.01
-    # only two grid states were solved; the n = 2 cell must say so
-    assert by_state[(2, 0)].oracle is None
-    assert "not bound" in by_state[(2, 0)].note
+    # the r_max = 1.1 box holds three levels below C; the n = 3 cell must say so
+    assert by_state[(2, 0)].oracle is not None
+    assert by_state[(3, 0)].oracle is None
+    assert "not bound" in by_state[(3, 0)].note
 
 
 def test_report_validation():
@@ -211,5 +251,3 @@ def test_report_validation():
         expectation_report(H2, "T", n_max=13, l_max=0, constants=PAPER)
     with pytest.raises(DomainError):
         expectation_report(H2, "momentum", n_max=1, l_max=0, constants=PAPER)
-    with pytest.raises(DomainError):
-        expectation_report(H2, "T", n_max=1, l_max=0, constants=None)
