@@ -228,9 +228,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_molecules(args) -> int:
-    reg = registry(args.registry)
     rows = [(m.name, m.a, m.b, m.c, m.alpha, m.mu)
-            for m in sorted(reg.values(), key=lambda m: m.name.lower())]
+            for m in sorted(registry().values(), key=lambda m: m.name.lower())]
     env = Envelope(_meta(args, "paper"), ("name", "A", "B", "C", "alpha", "mu"), rows)
     _emit(env, args)
     return EXIT_OK
@@ -309,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("molecules", help="list the molecule registry")
-    sp.add_argument("--registry", default=None,
-                    help="extra registry file (else HYIQP_REGISTRY)")
     add_io(sp)
     sp.set_defaults(func=cmd_molecules)
     return parser

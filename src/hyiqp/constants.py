@@ -7,7 +7,7 @@ explicitly:
   constants as bare numbers (reduced mass = the raw amu value).  This is
   the only convention under which the bundled reference expectation tables
   are internally consistent (<p^2> equals 2*mu*<T> with mu the bare amu
-  number), so it is the default for table regeneration.
+  number), so it is the default mode of the ``table`` command.
 * ``physical`` mode uses CODATA 2018 values, hbar*c = 1973.269804 eV*A and
   1 amu = 931.49410242e6 eV/c^2, giving energies in eV for lengths in
   Angstrom.
@@ -145,12 +145,6 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, Molecule]
     return out
 
 
-def load_registry(path: str) -> dict[str, Molecule]:
-    """Load a registry file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_registry(fh.read(), source=path)
-
-
 def dump_registry(molecules: dict[str, Molecule] | None = None) -> str:
     """Serialize a registry back to its file format.
 
@@ -172,22 +166,22 @@ def dump_registry(molecules: dict[str, Molecule] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def registry(extra_path: str | None = None) -> dict[str, Molecule]:
-    """Full registry: built-ins plus the HYIQP_REGISTRY file, if any.
+def registry() -> dict[str, Molecule]:
+    """Full registry: built-ins plus the file HYIQP_REGISTRY names, if any.
 
-    An explicit ``extra_path`` wins over the environment variable.  User
-    entries may shadow built-ins.
+    The environment variable is the one route to extra molecules, so every
+    lookup sees the same registry.  User entries may shadow built-ins.
     """
-    out = dict(BUILTIN_MOLECULES)
-    path = extra_path if extra_path is not None else os.environ.get(REGISTRY_ENV_VAR)
-    if path:
-        out.update(load_registry(path))
-    return out
+    path = os.environ.get(REGISTRY_ENV_VAR)
+    if not path:
+        return dict(BUILTIN_MOLECULES)
+    with open(path, "r", encoding="utf-8") as fh:
+        return {**BUILTIN_MOLECULES, **parse_registry(fh.read(), source=path)}
 
 
-def get_molecule(name: str, extra_path: str | None = None) -> Molecule:
+def get_molecule(name: str) -> Molecule:
     """Look up a molecule by case-insensitive name."""
-    reg = registry(extra_path)
+    reg = registry()
     mol = reg.get(name.lower())
     if mol is None:
         raise UnknownMoleculeError(name, sorted(m.name for m in reg.values()))

@@ -65,7 +65,7 @@ class ObservableValue:
 
 def _analytic_derivative(p: PotentialParams, mu: float, n: int, l: float,
                          which: str, constants: PhysicalConstants) -> float:
-    h2, gamma, sigma1, sigma2, delta2, m_num, d_den = _energy_pieces(
+    h2, gamma, delta2, sigma1, sigma2, _s3, m_num, d_den = _energy_pieces(
         p, mu, n, l, constants)
     x = m_num / d_den
     a2 = p.alpha**2

