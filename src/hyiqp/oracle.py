@@ -14,16 +14,18 @@ vector's error (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  When only bo
 if the LDL^T factorization (LAPACK dpttrf) of H - (C + delta) I succeeds,
 that matrix is positive definite, no level lies below the asymptote C, and
 the eigensolve, which would have dropped every level it found, is skipped.
-``solve_numerov`` bisects the node count of one outward Numerov sweep,
+``solve_numerov`` bisects the node count of the outward Numerov solution,
 which counts the levels below an energy and has no poles (the shooting form
-of Sturm oscillation; Johnson, J. Chem. Phys. 67, 4086 (1977)).  The
-sweep is a chain of LAPACK banded triangular solves (dtbtrs), rescaled
-between blocks, from the last grid point next to r_min that does not
-resolve the barrier.  The two methods' disagreement measures pure
-discretization error; their agreement with the closed forms measures the
-surrogate approximation embedded there.
+of Sturm oscillation; Johnson, J. Chem. Phys. 67, 4086 (1977)).  That count
+is the number of negative LDL^T pivots of a tridiagonal matrix, taken with
+the same dpttrf as the screen, restarted past each failed pivot, from the
+last grid point next to r_min that does not resolve the barrier.  A pivot
+is a ratio of consecutive terms of the solution, so the count stays inside
+double range where the solution leaves it.  The two methods' disagreement
+measures pure discretization error; their agreement with the closed forms
+measures the surrogate approximation embedded there.
 
-The four LAPACK routines come from scipy's f2py extension
+The three LAPACK routines come from scipy's f2py extension
 scipy.linalg._flapack, loaded by file path (_lapack): the compiled objects
 scipy.linalg.lapack exports, so every level and vector is the same, without
 importing scipy.linalg, whose __init__, array-API layer and numpy.f2py cost
@@ -122,7 +124,7 @@ class NumerovResult:
 def _lapack():
     """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded by file path.
 
-    It holds the compiled dpttrf, dstebz, dstein and dtbtrs that
+    It holds the compiled dpttrf, dstebz and dstein that
     scipy.linalg.lapack re-exports; importing it through scipy.linalg would
     also run scipy.linalg's __init__, scipy._lib's array-API layer and
     numpy.f2py.  Only the scipy package itself is imported, for its location
@@ -276,79 +278,55 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     )
 
 
-def _sweep_bands(ends) -> list[np.ndarray]:
-    """Banded storage of each block of _numerov_sweep, block i ending before ends[i].
+def _nonpositive_pivots(d: np.ndarray) -> int:
+    """Number of non-positive LDL^T pivots of tridiag(-1, d, -1); d is overwritten.
 
-    Fortran-ordered, so dtbtrs takes it without a copy.  The second row, the
-    sub-diagonal, is rewritten by every sweep; the rest is fixed.
+    By Sylvester's law of inertia it is the number of negative eigenvalues, a
+    zero pivot counting as -tiny, as LAPACK's dlaebz counts it as -pivmin.
+    LAPACK dpttrf factors in place and stops at its first non-positive pivot
+    q; the factorization restarts on the next row, from d[i+1] - 1/q.  dpttrf
+    forms each pivot by the same d - 1/q, so the pivots are those of one
+    factorization run through.  Each pivot is a ratio of consecutive terms of
+    the outward recurrence y[k+2] = d[k] y[k+1] - y[k], so it stays of the
+    order of d where y itself leaves double range.  A one-row tail is
+    compared directly: f2py rejects an empty off-diagonal.
     """
-    bands = []
+    dpttrf = _lapack().dpttrf
+    off = np.full(max(d.size - 1, 0), -1.0)
+    count = 0
     start = 0
-    for end in ends:
-        ab = np.ones((3, end - start), order="F")
-        ab[1, 0] = 0.0
-        bands.append(ab)
-        start = end - 2
-    return bands
-
-
-def _numerov_sweep(d: np.ndarray, bands) -> np.ndarray:
-    """Outward solution of y[k+2] = d[k] y[k+1] - y[k] from y[0] = 0, y[1] = 1.
-
-    Each block of bands (_sweep_bands) is one LAPACK dtbtrs solve of this
-    unit lower-triangular recurrence, started from the last pair of the
-    block before divided by its larger magnitude: y keeps its signs but not
-    its scale.
-    """
-    dtbtrs = _lapack().dtbtrs
-    y = np.zeros(d.size + 2)
-    y[1] = 1.0
-    start = 0
-    for ab in bands:
-        end = start + ab.shape[1]
-        ab[1, 1:-1] = -d[start:end - 2]
-        b = np.zeros((end - start, 1))
-        pair = y[start:start + 2]
-        b[:2, 0] = pair / np.max(np.abs(pair))
-        y[start:end] = dtbtrs(ab, b, uplo="L", diag="U")[0][:, 0]
-        start = end - 2
-    return y
+    while start < d.size - 1:
+        info = dpttrf(d[start:], off[start:], overwrite_d=1, overwrite_e=1)[2]
+        if info == 0:
+            return count
+        count += 1
+        start += info
+        if start < d.size:
+            d[start] -= 1.0 / (d[start - 1] or -np.finfo(float).tiny)
+    return count + int(start == d.size - 1 and d[start] <= 0.0)
 
 
 def _level_counter(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
-                   lo: float, hi: float, constants: PhysicalConstants):
-    """count(E), the number of Numerov levels below E, for lo <= E <= hi.
+                   lo: float, constants: PhysicalConstants):
+    """count(E), the number of Numerov levels below E, for E >= lo.
 
     At or below the interior minimum of V_eff, g <= 0 everywhere, so the
     diagonal 12/w - 10 is at least 2 wherever w > 0, and the count is 0
-    without a sweep.  Above it, the wall and block ends are set once, from
+    without a factorization.  Above it, the wall is set once, from
     e_floor = max(lo, min V_eff), so a lower end far below the potential
-    cannot move the wall into the well.  Block ends keep the summed local
-    growth rate arccosh(max(|12/w - 10| / 2, 1)) below ln 1e250 per block,
-    so no sweep leaves double range; |12/w - 10| is monotone in E, so its
-    larger value at e_floor and hi bounds it on the whole bracket.
+    cannot move it into the well.
     """
     full, _interior, h = _interior_grid(cfg)
     v_eff = effective_potential(full, p, l, mu, constants)
     step = h * h / (12.0 * hbar2_over_2mu(mu, constants))
     v_floor = float(v_eff[1:-1].min())
-    e_floor = max(lo, v_floor)
-    wall = np.flatnonzero(1.0 + step * (e_floor - v_eff) <= 0.0).max(initial=0)
+    wall = np.flatnonzero(1.0 + step * (max(lo, v_floor) - v_eff) <= 0.0).max(initial=0)
     v_eff = v_eff[wall + 1:-1]
-
-    def coefficients(e):
-        return 12.0 / (1.0 + step * (e - v_eff)) - 10.0
-
-    steepest = np.maximum(np.abs(coefficients(e_floor)),
-                          np.abs(coefficients(max(hi, e_floor))))
-    block = np.cumsum(np.arccosh(np.maximum(steepest / 2.0, 1.0))) // np.log(1e250)
-    bands = _sweep_bands(np.append(np.flatnonzero(np.diff(block)) + 3, v_eff.size + 2))
 
     def count(e):
         if e <= v_floor:
             return 0
-        y = _numerov_sweep(coefficients(e), bands)
-        return int(np.count_nonzero(np.diff(np.signbit(y))))
+        return _nonpositive_pivots(12.0 / (1.0 + step * (e - v_eff)) - 10.0)
 
     return count
 
@@ -361,7 +339,8 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     With g = (E - V_eff) / (hbar^2/2mu) and w = 1 + h^2 g / 12, y = w u of the
     outward solution (u = 0 at the wall) obeys y[i+1] = (12/w[i] - 10) y[i]
     - y[i-1]: it is the Sturm sequence of tridiag(-1, 12/w - 10, -1), whose
-    diagonal falls as E rises wherever w > 0.  So its sign changes count the
+    diagonal falls as E rises wherever w > 0.  So its sign changes, which are
+    that matrix's negative LDL^T pivots (_nonpositive_pivots), count the
     levels below E; the count grows with E and has no poles.  The wall is
     the last grid point where w <= 0 at the larger of the bracket's lower
     end and the interior minimum of V_eff, else r_min: where h^2 |g| / 12
@@ -375,7 +354,7 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     number of levels below it.
     """
     lo, hi = float(min(e_bracket)), float(max(e_bracket))
-    count = _level_counter(p, l, mu, cfg, lo, hi, constants)
+    count = _level_counter(p, l, mu, cfg, lo, constants)
     below = count(lo)
     levels = count(hi) - below
     if levels != 1:

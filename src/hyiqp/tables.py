@@ -171,7 +171,7 @@ def regenerate_table(table_id: str, constants: PhysicalConstants, *,
 def figure_potential_data(figure_id: int, p: PotentialParams, *,
                           alphas=FIGURE_ALPHAS, r_min: float = 0.05,
                           r_max: float = 10.0, n_points: int = 512):
-    """Columns (r, F, F1, F2, F3) for the potential figures.
+    """Columns (r, F, F1, F2, F3) for the potential figures, as lists of floats.
 
     Figure 1 sweeps the screening parameter: F..F3 are the combined
     potential at the four alphas.  Figure 2 overlays the combined potential
@@ -185,15 +185,15 @@ def figure_potential_data(figure_id: int, p: PotentialParams, *,
             if len(alphas) != 4:
                 raise DomainError("figure 1 needs exactly four alpha values")
             r = np.linspace(r_min, r_max, n_points)
-            cols = [potential(r, PotentialParams(p.v0, p.a, p.b, p.c, alpha=a))
-                    for a in alphas]
+            cols = (r, *(potential(r, PotentialParams(p.v0, p.a, p.b, p.c, alpha=a))
+                         for a in alphas))
             meta = {"curves": ",".join(f"alpha={a:g}" for a in alphas)}
-            return ("r", "F", "F1", "F2", "F3"), (r, *cols), meta
-        if figure_id == 2:
-            r, f, f1, f2, f3 = potential_curves(p, r_min, r_max, n_points)
+        elif figure_id == 2:
+            cols = potential_curves(p, r_min, r_max, n_points)
             meta = {"curves": "F=combined,F1=hulthen,F2=yukawa,F3=inverse-quadratic"}
-            return ("r", "F", "F1", "F2", "F3"), (r, f, f1, f2, f3), meta
-    raise DomainError("potential figures are 1 and 2")
+        else:
+            raise DomainError("potential figures are 1 and 2")
+    return ("r", "F", "F1", "F2", "F3"), tuple(c.tolist() for c in cols), meta
 
 
 def figure_wavefunction_data(figure_id: int, constants: PhysicalConstants, *,

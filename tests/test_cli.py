@@ -480,6 +480,13 @@ def test_non_finite_or_extreme_input_exits_with_a_domain_error(capsys, argv, mes
     assert message in captured.err
 
 
+def test_a_potential_figure_cell_out_of_double_range_is_named_as_a_float(capsys):
+    # the potential curves reach the formatter as Python floats, not numpy scalars
+    code, out, err = run(capsys, "figure", "2", "--v0=1e308", "--points", "16")
+    assert code == EXIT_DOMAIN
+    assert err == "error: the input leaves double range (a result is -inf)\n"
+
+
 def test_registry_row_with_nan_exits_with_a_domain_error(tmp_path, capsys, monkeypatch):
     extra = tmp_path / "reg.csv"
     extra.write_text("name,A,B,C,alpha,mu\nXY,1.0,2.0,3.0,nan,1.25\n")

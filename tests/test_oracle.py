@@ -15,9 +15,8 @@ from hyiqp import oracle
 from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
 from hyiqp.oracle import (EIG_TOL, ISOLATION_TOL, NumerovResult, OracleConfig, _lapack, _level_counter,
-                          _numerov_sweep, _rayleigh_quotient, _sweep_bands,
-                          default_config, expectation_numeric, solve_matrix,
-                          solve_numerov)
+                          _nonpositive_pivots, _rayleigh_quotient, default_config,
+                          expectation_numeric, solve_matrix, solve_numerov)
 from hyiqp.potential import PotentialParams, effective_potential
 
 ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
@@ -151,8 +150,8 @@ def test_numerov_requires_sign_change():
 
 
 def test_numerov_converges_in_the_default_window():
-    # the solution grows by ~e^2500 across the 40 A forbidden tail; the
-    # blockwise sweep keeps it inside double range
+    # the solution grows by ~e^2500 across the 40 A forbidden tail; the count
+    # takes LDL^T pivots, ratios of consecutive terms, which stay of order 1
     h2 = get_molecule("H2")
     p = PotentialParams.from_molecule(h2, v0=5.0)
     cfg = default_config(h2.alpha)
@@ -182,29 +181,55 @@ SWEEP_CASES = [
 ]
 
 
+def _sign_changes(y):
+    return int(np.count_nonzero(np.diff(np.signbit(y))))
+
+
 @pytest.mark.parametrize("p, l, mu, cfg, constants, k", SWEEP_CASES)
-def test_banded_sweeps_match_the_recurrence(p, l, mu, cfg, constants, k):
-    e = solve_matrix(p, l, mu, cfg, k + 1, constants).eigenvalues[k]
+def test_level_count_matches_the_recurrence(p, l, mu, cfg, constants, k):
+    # in the +-0.02 bracket around level k: its ends, the level, and the upper
+    # ends the bisection visits; at anchor-k2's e_k + 0.02/32 the last failed
+    # pivot falls on the one-row tail
+    e_k = solve_matrix(p, l, mu, cfg, k + 1, constants).eigenvalues[k]
     full = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)
-    h = full[1] - full[0]
-    g = (e - effective_potential(full, p, l, mu, constants)) / hbar2_over_2mu(mu, constants)
-    w = 1.0 + (h * h / 12.0) * g
-    wall = np.flatnonzero(w <= 0.0).max(initial=0)      # the last unresolved point
-    d = 12.0 / w[wall + 1:-1] - 10.0
-    ref = _outward_recurrence(d)
-    # each block starts from the last pair of the one before, rescaled: undo
-    # that positive factor on the stretch up to the next start
-    ends = np.append(np.arange(250, d.size + 2, 250), d.size + 2)
-    y = _numerov_sweep(d, _sweep_bands(ends))
-    starts = np.append(0, ends[:-1] - 2)
-    for start, end in zip(starts, np.append(starts[1:], y.size)):
-        i = start + int(np.argmax(np.abs(ref[start:end])))
-        assert y[i] / ref[i] > 0.0
-        y[start:end] *= ref[i] / y[i]
-    # past the outermost turning point rounding grows with the forbidden
-    # tail, differently in the two orders of operations
-    turn = int(np.nonzero(np.diff(np.sign(g)) != 0)[0][-1]) + 2 - wall
-    assert np.max(np.abs(y - ref)[:turn]) <= 1e-10 * np.max(np.abs(ref[:turn]))
+    v_eff = effective_potential(full, p, l, mu, constants)
+    step = (full[1] - full[0]) ** 2 / (12.0 * hbar2_over_2mu(mu, constants))
+    count = _level_counter(p, l, mu, cfg, e_k - 0.02, constants)
+    # the last unresolved point at the lower end
+    wall = np.flatnonzero(1.0 + step * (e_k - 0.02 - v_eff) <= 0.0).max(initial=0)
+    for e in (e_k - 0.02, e_k, *(e_k + 0.02 / 2**j for j in range(6))):
+        w = 1.0 + step * (e - v_eff[wall + 1:-1])
+        assert count(e) == _sign_changes(_outward_recurrence(12.0 / w - 10.0))
+    assert count(e_k + 0.02) == k + 1
+
+
+@pytest.mark.parametrize("d, levels", [
+    pytest.param([1.0, 1.0, 2.0, 2.0, 2.0, 2.0], 1, id="zero-pivot"),
+    pytest.param([1.0, 1.0, -3.0, 2.0, 0.5, 2.0], 2, id="two-zero-pivots"),
+    pytest.param([2.0, 2.0, -1.0, -5.0], 2, id="one-row-tail"),
+    pytest.param([-1.0], 1, id="one-row"),
+    pytest.param([2.0, 2.0, 2.0, 2.0], 0, id="positive-definite"),
+])
+def test_pivot_count_is_the_inertia(d, levels):
+    d = np.array(d)
+    matrix = np.diag(d) - np.eye(d.size, k=1) - np.eye(d.size, k=-1)
+    assert np.count_nonzero(np.linalg.eigvalsh(matrix) < 0.0) == levels
+    assert _sign_changes(_outward_recurrence(d)) == levels
+    assert _nonpositive_pivots(d.copy()) == levels
+
+
+def test_level_count_of_a_box_with_a_thousand_levels():
+    # one dpttrf restart per level below e, halfway between continuum levels
+    # 1000 and 1001, where the grid's relative error is ~1e-6 of the spacing
+    c = hbar2_over_2mu(1.0, PAPER)
+    width = BOX_CFG.r_max - BOX_CFG.r_min
+    e = c * (1000.5 * np.pi / width) ** 2
+    count = _level_counter(BOX, 0, 1.0, BOX_CFG, e, PAPER)
+    assert count(e) == 1000
+    h = np.linspace(BOX_CFG.r_min, BOX_CFG.r_max, BOX_CFG.n_points)[1] - BOX_CFG.r_min
+    w = 1.0 + h * h / (12.0 * c) * e
+    d = np.full(BOX_CFG.n_points - 2, 12.0 / w - 10.0)
+    assert _sign_changes(_outward_recurrence(d)) == 1000
 
 
 def test_numerov_starts_past_the_unresolved_inner_wall():
@@ -385,7 +410,7 @@ def test_numerov_count_is_monotone_and_matches_the_matrix(v0, l, physical, name)
                           below_asymptote_only=False).eigenvalues
     # halfway between neighbouring matrix levels, and as far below the lowest
     between = np.append(1.5 * levels[0] - 0.5 * levels[1], 0.5 * (levels[:-1] + levels[1:]))
-    count = _level_counter(p, l, mol.mu, cfg, between[0], between[-1], constants)
+    count = _level_counter(p, l, mol.mu, cfg, between[0], constants)
     assert [count(e) for e in between] == list(range(between.size))
     counts = [count(e) for e in np.linspace(between[0], between[-1], 41)]
     assert np.all(np.diff(counts) >= 0)
@@ -537,7 +562,7 @@ def test_kept_vectors_are_the_leading_vectors_of_a_full_stein_call(l, bound):
         assert np.array_equal(sol.eigenvectors[k], u)
 
 
-LAPACK_ROUTINES = ("dpttrf", "dstebz", "dstein", "dtbtrs")
+LAPACK_ROUTINES = ("dpttrf", "dstebz", "dstein")
 
 
 @pytest.mark.parametrize("scipy_linalg_first", [False, True],

@@ -115,8 +115,7 @@ def test_figure1_sweeps_screening_values():
     p = PotentialParams.from_molecule(get_molecule("H2"), v0=5.0)
     columns, cols, meta = figure_potential_data(1, p, alphas=(0.1, 0.2, 0.3, 0.4))
     assert columns == ("r", "F", "F1", "F2", "F3")
-    r = cols[0]
-    assert r.shape == (512,)
+    assert all(len(col) == 512 and type(col[0]) is float for col in cols)
     assert "alpha=0.1" in meta["curves"]
     # stronger screening pulls the well in faster at moderate r
     assert not np.array_equal(cols[1], cols[2])
@@ -128,7 +127,7 @@ def test_figure2_overlays_limits():
     p = PotentialParams.from_molecule(get_molecule("H2"), v0=5.0)
     columns, cols, meta = figure_potential_data(2, p)
     assert columns == ("r", "F", "F1", "F2", "F3")
-    r, f, f1, f2, f3 = cols
+    r, f, f1, f2, f3 = map(np.array, cols)
     assert np.allclose(f, f1 + f2 + f3 + p.c, rtol=1e-14, atol=1e-14)
 
 
