@@ -14,7 +14,7 @@ import numpy as np
 
 from hyiqp import (PAPER, OracleConfig, PotentialParams, get_molecule,
                    solve_matrix, wavefunction)
-from hyiqp.spectrum import count_sign_changes
+from hyiqp.oracle import count_sign_changes
 
 h2 = get_molecule("H2")
 p = PotentialParams.from_molecule(h2, v0=0.0)

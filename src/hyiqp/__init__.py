@@ -18,7 +18,7 @@ from .constants import (PAPER, PHYSICAL, BUILTIN_MOLECULES, Molecule,
 from .errors import (ConvergenceError, DomainError, HyiqpError,
                      UnknownMoleculeError, UnsupportedRegimeError)
 from .hft import (DerivativeResult, ObservableValue, d_energy_d_param,
-                  expectation_report, observable_for_params)
+                  observable_for_params)
 from .jacobi import jacobi
 from .potential import (PotentialParams, effective_potential,
                         greene_aldrich_inv_r, greene_aldrich_inv_r2, hulthen,
@@ -28,8 +28,8 @@ from .spectrum import (DimensionlessParams, NUIntermediates, SpectrumResult,
                        energy_iqp, energy_value, energy_yukawa,
                        normalization_constant, nu_consistency,
                        probability_density, wavefunction)
-from .tables import (TableResult, load_fixture, regenerate_table,
-                     verify_fixture_checksums)
+from .tables import (TableResult, expectation_report, load_fixture,
+                     regenerate_table, verify_fixture_checksums)
 
 __version__ = "1.0.0"
 
@@ -53,7 +53,7 @@ __all__ = [
     "ConvergenceError", "DomainError", "HyiqpError", "UnknownMoleculeError",
     "UnsupportedRegimeError",
     "DerivativeResult", "ObservableValue", "d_energy_d_param",
-    "expectation_report", "observable_for_params",
+    "observable_for_params",
     "jacobi",
     "NumerovResult", "OracleConfig", "RadialGridSolution", "default_config",
     "expectation_numeric", "solve_matrix", "solve_numerov",
@@ -64,7 +64,7 @@ __all__ = [
     "dimensionless_params", "energy", "energy_hulthen", "energy_iqp",
     "energy_value", "energy_yukawa", "normalization_constant",
     "nu_consistency", "probability_density", "wavefunction",
-    "TableResult", "load_fixture", "regenerate_table",
+    "TableResult", "expectation_report", "load_fixture", "regenerate_table",
     "verify_fixture_checksums",
     "__version__",
 ]

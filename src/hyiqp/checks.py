@@ -7,7 +7,8 @@ acceptance tests assert on ``run_suite``).  Every suite runs in paper mode
 (hbar = 1, bare constants), the unit mode of the reference tables; the
 anchor and the cutoff states below are paper-mode facts:
 
-* reduction: zeroed parameter subsets reproduce the named limits exactly;
+* reduction: zeroed parameter subsets reproduce the named limits exactly,
+  and the screened-well limit is the textbook Hulthen spectrum;
 * hft: closed-form derivatives agree with complex-step derivatives of the
   energy code to rounding level;
 * nu: the quantization residual vanishes and the bound-state condition
@@ -34,12 +35,12 @@ import numpy as np
 
 from .constants import PAPER, BUILTIN_MOLECULES, hbar2_over_2mu
 from .hft import d_energy_d_param
-from .oracle import (OracleConfig, expectation_numeric, solve_matrix,
-                     solve_numerov)
+from .oracle import (OracleConfig, count_sign_changes, expectation_numeric,
+                     solve_matrix, solve_numerov)
 from .potential import (PotentialParams, greene_aldrich_inv_r, hulthen,
                         inverse_quadratic, potential, yukawa)
-from .spectrum import (count_sign_changes, energy, energy_hulthen, energy_iqp,
-                       energy_yukawa, normalization_constant, wavefunction)
+from .spectrum import (energy, energy_hulthen, energy_iqp, energy_yukawa,
+                       normalization_constant, wavefunction)
 
 SWEEP_N = range(5)
 SWEEP_L = range(5)
@@ -77,13 +78,18 @@ def check_reduction() -> list[CheckResult]:
         dev = np.max(np.abs(potential(r, p_limit) - limit))
         results.append(_result(f"potential-limit-{name}", dev == 0.0, f"max|dev|={dev:g}"))
 
-    worst = 0.0
+    worst = worst_textbook = 0.0
     for mol in BUILTIN_MOLECULES.values():
         for n in range(6):
             for l in range(6):
+                e_hulthen = energy_hulthen(2.0, mol.alpha, mol.mu, n, l, PAPER)
+                # the textbook screened-well level at V0 = 2: delta = 2 alpha, m = n + l + 1
+                dm = 2.0 * mol.alpha * (n + l + 1)
+                textbook = -(mol.mu * 2.0 / dm - dm / 2.0) ** 2 / (2.0 * mol.mu)
+                worst_textbook = max(worst_textbook,
+                                     abs(e_hulthen - textbook) / max(1.0, abs(textbook)))
                 for e_limit, p_limit in (
-                        (energy_hulthen(2.0, mol.alpha, mol.mu, n, l, PAPER),
-                         PotentialParams(2.0, 0.0, 0.0, 0.0, mol.alpha)),
+                        (e_hulthen, PotentialParams(2.0, 0.0, 0.0, 0.0, mol.alpha)),
                         (energy_yukawa(mol.a, mol.alpha, mol.mu, n, l, PAPER),
                          PotentialParams(0.0, mol.a, 0.0, 0.0, mol.alpha)),
                         (energy_iqp(mol.b, mol.alpha, mol.mu, n, l, PAPER),
@@ -93,9 +99,10 @@ def check_reduction() -> list[CheckResult]:
     results.append(_result("energy-reduction-closure", worst <= 1e-12,
                            f"worst rel dev={worst:.2e} (tol 1e-12)"))
 
-    square_ok = all(math.sqrt(4.0 * l * (l + 1) + 1.0) == 2.0 * l + 1.0
-                    for l in range(21))
-    results.append(_result("perfect-square-identity", square_ok, "l <= 20, exact"))
+    results.append(_result(
+        "hulthen-textbook-spectrum", worst_textbook <= 1e-12,
+        f"worst rel dev={worst_textbook:.2e} from -(1/2mu)(mu V0/(delta m) - delta m/2)^2 "
+        "(tol 1e-12)"))
 
     e0 = energy(PotentialParams(0.0, 0.0, 0.0, 0.0, 0.5), 1.0, 0, 0, PAPER).energy
     results.append(_result("collapsed-energy", e0 == -0.125, f"E={e0!r} (expect -0.125)"))
@@ -241,8 +248,7 @@ def check_oracle() -> list[CheckResult]:
     # hydrogenic limit: weak-screening Yukawa approaches -mu A^2 / 2 hbar^2
     hyd = PotentialParams(v0=0.0, a=1.0, b=0.0, c=0.0, alpha=1e-4)
     sol_h = solve_matrix(hyd, 0, 1.0, OracleConfig(r_min=1e-6, r_max=40.0,
-                                                   n_points=20000),
-                         1, PAPER, below_asymptote_only=False)
+                                                   n_points=20000), 1, PAPER)
     e_h = sol_h.eigenvalues[0]
     rel_h = abs(e_h + 0.5) / 0.5
     results.append(_result("hydrogenic-limit", rel_h <= 1e-3,

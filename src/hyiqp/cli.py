@@ -29,11 +29,11 @@ import sys
 
 from .constants import CONSTANTS_VERSION, for_mode, get_molecule, registry
 from .errors import DomainError, HyiqpError, UnknownMoleculeError
-from .hft import OBSERVABLES, ReportRow, expectation_report
+from .hft import OBSERVABLES
 from .potential import DEFAULT_V0, PotentialParams
 from .spectrum import WAVEFUNCTION_CONVENTIONS, energy
-from .tables import (figure_potential_data, figure_wavefunction_data,
-                     observable_fixture, regenerate_table)
+from .tables import (ReportRow, expectation_report, figure_potential_data,
+                     figure_wavefunction_data, regenerate_table)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -163,8 +163,7 @@ def cmd_expect(args) -> int:
 
         oracle = default_config(mol.alpha)
     rows = expectation_report(
-        mol, args.observable, constants=for_mode(args.mode), v0=p.v0,
-        fixtures=observable_fixture(mol.name, args.observable), oracle=oracle,
+        mol, args.observable, constants=for_mode(args.mode), v0=p.v0, oracle=oracle,
         **_given(n_max=args.n_max, l_max=args.l_max, exp_factor_r=args.exp_factor_r))
     env = Envelope(
         _meta(args, args.mode, molecule=mol.name, observable=args.observable,

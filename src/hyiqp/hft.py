@@ -8,8 +8,8 @@ expectation of dH/dq.  Promoting q = l, A, mu to continuous variables gives
     <T>              = -mu dE/dmu,      <p^2> = 2 mu <T>
 
 ``observable_for_params`` is the one entry point; it evaluates each
-observable along two independent paths that the report machinery keeps
-side by side:
+observable along two independent paths, which the discrepancy report
+(``tables.expectation_report``) keeps side by side:
 
 * ``paper_formula``: the closed-form derivative of the level energy,
   written out by chain rule in the same factored arrangement as the stated
@@ -22,24 +22,18 @@ side by side:
 The stated <r^-1> expression carries an unresolved exp(a r) prefactor whose
 r is never pinned down; the well-defined Hellmann-Feynman quantity is the
 screened moment <exp(-a r)/r>, so the prefactor defaults to one and can be
-set through ``exp_factor_r``.  Sign anomalies in the bundled reference
-tables (negative <r^-2> and <p^2>) are reproduced-or-deviated and flagged,
-never corrected.
+set through ``exp_factor_r``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
-from .constants import Molecule, PhysicalConstants, hbar2_over_2mu, mu_energy_units
+from .constants import PhysicalConstants, hbar2_over_2mu, mu_energy_units
 from .errors import DomainError
-from .potential import DEFAULT_V0, PotentialParams
+from .potential import PotentialParams
 from .spectrum import _energy_pieces, energy_value
-
-if TYPE_CHECKING:       # the oracle imports numpy; the closed form loads none
-    from .oracle import OracleConfig
 
 COMPLEX_STEP = 1e-200
 DERIVATIVE_PARAMS = ("l", "A", "mu")
@@ -139,83 +133,3 @@ def observable_for_params(observable: str, p: PotentialParams, mu: float, n: int
     return ObservableValue(
         paper_formula=value(d.analytic, p, mu, l, constants, exp_factor_r),
         machine_derivative=value(d.machine_derivative, p, mu, l, constants, exp_factor_r))
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One (n, l) cell of the discrepancy report.
-
-    Missing cells (no oracle state, no fixture, fixture-only tables) are
-    None and render as empty fields.
-    """
-
-    n: int
-    l: int
-    paper_formula: float | None
-    machine_derivative: float | None
-    oracle: float | None
-    paper_table: float | None
-    dev_pf_md: float | None
-    dev_md_oracle: float | None
-    dev_vs_table: float | None
-    note: str = ""
-
-
-def rel_dev(a: float | None, b: float | None) -> float | None:
-    """Signed relative deviation (a - b) / max(|a|, |b|); None if either side is."""
-    if a is None or b is None:
-        return None
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return (a - b) / scale
-
-
-def expectation_report(molecule: Molecule, observable: str, n_max: int = 8,
-                       l_max: int = 3, *, constants: PhysicalConstants,
-                       v0: float = DEFAULT_V0, exp_factor_r: float | None = None,
-                       fixtures: dict | None = None,
-                       oracle: OracleConfig | None = None) -> list[ReportRow]:
-    """Per-(n, l) dual-path values with optional oracle and fixture columns.
-
-    ``fixtures`` maps (n, l) to reference table values.  With an ``oracle``
-    grid the report solves the exact potential's n_max + 1 lowest levels for
-    each l <= l_max on it (the caller decides whether to spend the solve
-    time); cells the oracle cannot fill (state not bound in the exact
-    potential) carry a note instead of a number.  Rows are emitted in (n, l)
-    order, so repeated runs are byte-identical once formatted.
-    """
-    if not (0 <= n_max <= 12 and 0 <= l_max <= 12):
-        raise DomainError("report grids need 0 <= n_max, l_max <= 12")
-    oracle_obs = {"r-2": "r_m2", "r-1": "r_m1_screened", "T": "kinetic", "p2": "p2"}
-    p = PotentialParams.from_molecule(molecule, v0=v0)
-    if oracle is not None:
-        from .oracle import expectation_numeric, solve_matrix
-
-        solutions = [solve_matrix(p, l, molecule.mu, oracle, n_max + 1, constants)
-                     for l in range(l_max + 1)]
-    rows = []
-    for n in range(n_max + 1):
-        for l in range(l_max + 1):
-            val = observable_for_params(observable, p, molecule.mu, n, l,
-                                        constants, exp_factor_r)
-            oracle_val = None
-            note = ""
-            if oracle is not None:
-                if n < len(solutions[l].eigenvalues):
-                    oracle_val = expectation_numeric(solutions[l], n, oracle_obs[observable])
-                else:
-                    note = "oracle: state not bound below the asymptote"
-            fixture_val = None if fixtures is None else fixtures.get((n, l))
-            rows.append(ReportRow(
-                n=n, l=l,
-                paper_formula=val.paper_formula,
-                machine_derivative=val.machine_derivative,
-                oracle=oracle_val,
-                paper_table=fixture_val,
-                dev_pf_md=rel_dev(val.paper_formula, val.machine_derivative),
-                dev_md_oracle=rel_dev(val.machine_derivative, oracle_val),
-                dev_vs_table=rel_dev(val.machine_derivative, fixture_val),
-                note=note,
-            ))
-    return rows

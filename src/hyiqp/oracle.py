@@ -25,6 +25,9 @@ double range where the solution leaves it.  The two methods' disagreement
 measures pure discretization error; their agreement with the closed forms
 measures the surrogate approximation embedded there.
 
+The oracle shares no code with the closed form it checks: it imports only
+``constants``, ``errors`` and ``potential`` (count_sign_changes is its own).
+
 The three LAPACK routines come from scipy's f2py extension
 scipy.linalg._flapack, loaded by file path (_lapack): the compiled objects
 scipy.linalg.lapack exports, so every level and vector is the same, without
@@ -55,7 +58,6 @@ import numpy as np
 from .constants import PhysicalConstants, hbar2_over_2mu, mu_energy_units
 from .errors import ConvergenceError, DomainError
 from .potential import PotentialParams, effective_potential
-from .spectrum import count_sign_changes
 
 # r_max default is the H2-scale window, rescaled with the screening length.
 DEFAULT_R_MAX_TIMES_ALPHA = 40.0 * 0.20990
@@ -157,6 +159,14 @@ def _lapack():
     return module
 
 
+def count_sign_changes(values, threshold_ratio: float = 1e-12) -> int:
+    """Count strict sign changes, ignoring magnitudes below a relative floor."""
+    v = np.asarray(values, dtype=float)
+    keep = np.abs(v) > threshold_ratio * np.max(np.abs(v))
+    signs = np.sign(v[keep])
+    return int(np.sum(signs[1:] * signs[:-1] < 0))
+
+
 def _interior_grid(cfg: OracleConfig):
     full = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)
     return full, full[1:-1], full[1] - full[0]
@@ -196,7 +206,9 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     shifts at or below C + ISOLATION_TOL max(1, |C|), which hold every level
     below C: it draws its start vectors in order and orthogonalizes each only
     against the ones before it, so the vectors it returns are bit for bit the
-    leading ones of a call on all k_states shifts.
+    leading ones of a call on all k_states shifts.  below_asymptote_only=False
+    keeps the box states; in the package only the box-calibration check
+    passes it, since the V = 0 box has no level below C = 0.
 
     When dropping them, one LDL^T factorization (LAPACK dpttrf) of
     H - (C + delta) I comes first, delta = EIG_TOL max(1, |C|) + 8 eps ||H||.

@@ -260,21 +260,15 @@ def energy_hulthen(v0: float, alpha: float, mu: float, n: int, l: int,
                    constants: PhysicalConstants) -> float:
     """Screened-well (Hulthen) limit, in its collapsed algebraic form.
 
-    Because sqrt(4 l(l+1) + 1) = 2l + 1 exactly (verified here; IEEE square
-    roots of exact perfect squares are exact), the generic quotient
-    collapses to ((n+l)(n+l+2) + 1 - delta2) / (2(n+l+1)).  Implementing
-    that collapsed arrangement keeps the reduction check against the full
-    closed form a genuine cross-identity rather than a tautology.  With
-    m = n + l + 1 this is the textbook screened-well spectrum, so n counts
-    radial nodes and corresponds to principal quantum number n + 1.
+    Because sqrt(4 l(l+1) + 1) = 2l + 1, the generic quotient collapses to
+    ((n+l)(n+l+2) + 1 - delta2) / (2(n+l+1)).  Implementing that collapsed
+    arrangement keeps the reduction check against the full closed form a
+    genuine cross-identity rather than a tautology.  With m = n + l + 1 this
+    is the textbook screened-well spectrum, so n counts radial nodes and
+    corresponds to principal quantum number n + 1.
     """
     _check_nl(n, l)
     _check_alpha(alpha)
-    root = math.sqrt(4.0 * l * (l + 1.0) + 1.0)
-    if root != 2.0 * l + 1.0:
-        raise ConvergenceError(
-            f"perfect-square identity failed at l={l}: {root!r} != {2 * l + 1}"
-        )
     h2 = hbar2_over_2mu(mu, constants)
     delta2 = v0 / (4.0 * h2 * alpha**2)
     quotient = (-delta2 + (n + l) * (n + l + 2.0) + 1.0) / (2.0 * (n + l + 1.0))
@@ -408,13 +402,3 @@ def probability_density(r, p: PotentialParams, mu: float, n: int, l: int,
     psi = wavefunction(r, p, mu, n, l, constants, normalized=True,
                        convention=convention)
     return psi**2
-
-
-def count_sign_changes(values, threshold_ratio: float = 1e-12) -> int:
-    """Count strict sign changes, ignoring magnitudes below a relative floor."""
-    import numpy as np
-
-    v = np.asarray(values, dtype=float)
-    keep = np.abs(v) > threshold_ratio * np.max(np.abs(v))
-    signs = np.sign(v[keep])
-    return int(np.sum(signs[1:] * signs[:-1] < 0))

@@ -1,12 +1,16 @@
-"""Regeneration of the bundled reference tables and figure data.
+"""The discrepancy report, regeneration of the bundled reference tables, figure data.
+
+Here the two halves meet: the closed form (``hft``, ``spectrum``) fills the
+report's two derivation columns, and the grid oracle, imported only when a
+report asks for its column, fills the third.
 
 The fixture CSVs under ``data/fixtures`` are verbatim transcriptions of the
 reference expectation tables, anomalies included (sign errors, missing
 leading zeros, a duplicated table).  A SHA-256 manifest guards them against
-silent edits.  Regeneration recomputes every cell along both derivation
-paths and reports deviations against the fixtures; agreement is documented,
-never asserted, because several reference entries are physically impossible
-(negative <r^-2> and <p^2>).
+silent edits.  The report looks up the published table of its molecule and
+observable in the table map below and sets every cell against it;
+agreement is documented, never asserted, because several reference entries
+are physically impossible (negative <r^-2> and <p^2>).
 
 Table map: 2 and 5 hold <r^-2> (the block printed between them carries no
 molecule attribution and is stored as ``2b``, excluded from hard
@@ -23,12 +27,16 @@ import hashlib
 import io
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .constants import PhysicalConstants, get_molecule
+from .constants import Molecule, PhysicalConstants, get_molecule
 from .errors import DomainError
-from .hft import ReportRow, expectation_report
+from .hft import observable_for_params
 from .potential import DEFAULT_V0, PotentialParams, potential, potential_curves
 from .spectrum import wavefunction
+
+if TYPE_CHECKING:       # the oracle imports numpy; import hyiqp loads none
+    from .oracle import OracleConfig
 
 FIGURE_MOLECULES = ("H2", "LiH", "HCl", "CO")
 FIGURE_ALPHAS = (0.1, 0.2, 0.3, 0.4)
@@ -113,11 +121,89 @@ def table_spec(table_id: str) -> TableSpec:
     return spec
 
 
-def observable_fixture(molecule: str, observable: str) -> dict | None:
-    """The published reference values of one molecule's observable, or None."""
-    ids = [spec.table_id for spec in TABLE_SPECS.values() if spec.fixture_file
-           and (spec.molecule, spec.observable) == (molecule, observable)]
-    return load_fixture(ids[0]) if ids else None
+@dataclass(frozen=True)
+class ReportRow:
+    """One (n, l) cell of the discrepancy report.
+
+    Missing cells (no oracle state, no published table, fixture-only tables)
+    are None, the default, and render as empty fields.
+    """
+
+    n: int
+    l: int
+    paper_formula: float | None = None
+    machine_derivative: float | None = None
+    oracle: float | None = None
+    paper_table: float | None = None
+    dev_pf_md: float | None = None
+    dev_md_oracle: float | None = None
+    dev_vs_table: float | None = None
+    note: str = ""
+
+
+def rel_dev(a: float | None, b: float | None) -> float | None:
+    """Signed relative deviation (a - b) / max(|a|, |b|); None if either side is."""
+    if a is None or b is None:
+        return None
+    scale = max(abs(a), abs(b))
+    if scale == 0.0:
+        return 0.0
+    return (a - b) / scale
+
+
+def expectation_report(molecule: Molecule, observable: str, n_max: int = 8,
+                       l_max: int = 3, *, constants: PhysicalConstants,
+                       v0: float = DEFAULT_V0, exp_factor_r: float | None = None,
+                       oracle: OracleConfig | None = None) -> list[ReportRow]:
+    """Per-(n, l) dual-path values with the published-table and optional oracle columns.
+
+    The paper_table column holds the published table of (molecule.name,
+    observable) in TABLE_SPECS, and stays empty for a molecule or observable
+    without one.  With an ``oracle`` grid the report solves the exact
+    potential's n_max + 1 lowest levels for each l <= l_max on it (the
+    caller decides whether to spend the solve time); cells the oracle cannot
+    fill (state not bound in the exact potential) carry a note instead of a
+    number.  Rows are emitted in (n, l) order, so repeated runs are
+    byte-identical once formatted.
+    """
+    if not (0 <= n_max <= 12 and 0 <= l_max <= 12):
+        raise DomainError("report grids need 0 <= n_max, l_max <= 12")
+    oracle_obs = {"r-2": "r_m2", "r-1": "r_m1_screened", "T": "kinetic", "p2": "p2"}
+    p = PotentialParams.from_molecule(molecule, v0=v0)
+    if oracle is not None:
+        from .oracle import expectation_numeric, solve_matrix
+
+        solutions = [solve_matrix(p, l, molecule.mu, oracle, n_max + 1, constants)
+                     for l in range(l_max + 1)]
+    published = {}
+    for spec in TABLE_SPECS.values():
+        if (spec.molecule, spec.observable) == (molecule.name, observable):
+            published = load_fixture(spec.table_id)
+    rows = []
+    for n in range(n_max + 1):
+        for l in range(l_max + 1):
+            val = observable_for_params(observable, p, molecule.mu, n, l,
+                                        constants, exp_factor_r)
+            oracle_val = None
+            note = ""
+            if oracle is not None:
+                if n < len(solutions[l].eigenvalues):
+                    oracle_val = expectation_numeric(solutions[l], n, oracle_obs[observable])
+                else:
+                    note = "oracle: state not bound below the asymptote"
+            fixture_val = published.get((n, l))
+            rows.append(ReportRow(
+                n=n, l=l,
+                paper_formula=val.paper_formula,
+                machine_derivative=val.machine_derivative,
+                oracle=oracle_val,
+                paper_table=fixture_val,
+                dev_pf_md=rel_dev(val.paper_formula, val.machine_derivative),
+                dev_md_oracle=rel_dev(val.machine_derivative, oracle_val),
+                dev_vs_table=rel_dev(val.machine_derivative, fixture_val),
+                note=note,
+            ))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -152,17 +238,12 @@ def regenerate_table(table_id: str, constants: PhysicalConstants, *,
             ),
         )
     if spec.molecule is None:
-        fixtures = load_fixture(spec.table_id)
-        rows = [ReportRow(n=n, l=l, paper_formula=None, machine_derivative=None,
-                          oracle=None, paper_table=fixtures[(n, l)],
-                          dev_pf_md=None, dev_md_oracle=None, dev_vs_table=None,
-                          note="fixture only")
-                for (n, l) in sorted(fixtures)]
+        rows = [ReportRow(n=n, l=l, paper_table=value, note="fixture only")
+                for (n, l), value in sorted(load_fixture(spec.table_id).items())]
         return TableResult(table_id=spec.table_id, label=spec.label, rows=rows,
                            notes=spec.flags)
-    molecule = get_molecule(spec.molecule)
-    rows = expectation_report(molecule, spec.observable, constants=constants, v0=v0,
-                              fixtures=load_fixture(spec.table_id))
+    rows = expectation_report(get_molecule(spec.molecule), spec.observable,
+                              constants=constants, v0=v0)
     notes = spec.flags + (f"v0={v0!r}", f"mode={constants.mode}")
     return TableResult(table_id=spec.table_id, label=spec.label, rows=rows,
                        notes=notes)

@@ -22,7 +22,7 @@ SUITES = {
     "reduction": (1.0, [
         "potential-limit-hulthen", "potential-limit-yukawa",
         "potential-limit-inverse-quadratic", "energy-reduction-closure",
-        "perfect-square-identity", "collapsed-energy", "inv-r-surrogate-quantified",
+        "hulthen-textbook-spectrum", "collapsed-energy", "inv-r-surrogate-quantified",
     ]),
     "hft": (5.0, ["hft-derivative-agreement"]),
     "nu": (None, [
@@ -80,7 +80,7 @@ def assert_checks_pass(suite_run, suite, names):
 
 def test_criterion_2_reduction_suite(suite_run):
     assert_checks_pass(suite_run, "reduction",
-                       ["energy-reduction-closure", "perfect-square-identity"])
+                       ["energy-reduction-closure", "hulthen-textbook-spectrum"])
 
 
 def test_criterion_3_nu_consistency(suite_run):

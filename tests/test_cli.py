@@ -393,6 +393,20 @@ def test_reduction_checks_report_fail(capsys, monkeypatch, name, attr, wrap):
     assert failed == [f"FAIL - {name}"]
 
 
+def test_hulthen_textbook_check_reports_fail(capsys, monkeypatch):
+    from hyiqp import spectrum
+
+    # hbar^2/2mu 1e-9 of itself high in the closed form: the collapsed
+    # Hulthen limit and the full level share the fault, so the closure
+    # passes; the textbook form and the exact collapsed level do not
+    real = spectrum.hbar2_over_2mu
+    monkeypatch.setattr(spectrum, "hbar2_over_2mu", lambda *args: real(*args) * (1.0 + 1e-9))
+    code, out, _ = run(capsys, "check", "reduction")
+    assert code == EXIT_CHECK_FAILED
+    failed = [ln.split(" (")[0] for ln in out.splitlines() if ln.startswith("FAIL - ")]
+    assert failed == ["FAIL - hulthen-textbook-spectrum", "FAIL - collapsed-energy"]
+
+
 def test_orthodox_node_count_check_reports_fail(capsys, monkeypatch):
     from hyiqp import checks
 
@@ -666,7 +680,7 @@ PINNED_STDOUT = [
                  "62502a21b3575eb780685f1acee6faf9f29a9826020659d9c24ab7777a0864c5",
                  id="expect-HCl-paper-v0-4"),
     pytest.param(("check", "all"),
-                 "31a4227a35c409e9c05e1e678456b00aa443baeabe9ee153ccf265c98b77d0a7",
+                 "b6eff3eecb1a629cb2273da3c8d71164381d99bd69992c8a777279f9dc652fd0",
                  id="check-all"),
     pytest.param(("figure", "1"),
                  "d11e16c645004f818a8152040688181ac37d56786e8f20f2e815bc0fc99685f1",

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from hyiqp.constants import (AMU_EV_PER_C2, HBAR_C_EV_ANGSTROM, PAPER, PHYSICAL,
                              BUILTIN_MOLECULES, Molecule, get_molecule)
 from hyiqp.errors import DomainError
-from hyiqp.hft import (d_energy_d_param, expectation_report,
-                       observable_for_params, rel_dev)
+from hyiqp.hft import d_energy_d_param, observable_for_params
 from hyiqp.oracle import OracleConfig, expectation_numeric, solve_matrix
 from hyiqp.potential import PotentialParams
 from hyiqp.spectrum import energy, energy_value
-from hyiqp.tables import load_fixture
+from hyiqp.tables import expectation_report, load_fixture, rel_dev
 
 H2 = get_molecule("H2")
 CO = get_molecule("CO")
@@ -222,10 +221,8 @@ def test_observables_depend_on_v0():
 
 def test_report_layout_and_determinism():
     fixtures = load_fixture("10")
-    rows1 = expectation_report(H2, "T", n_max=2, l_max=1, constants=PAPER,
-                               fixtures=fixtures)
-    rows2 = expectation_report(H2, "T", n_max=2, l_max=1, constants=PAPER,
-                               fixtures=fixtures)
+    rows1 = expectation_report(H2, "T", n_max=2, l_max=1, constants=PAPER)
+    rows2 = expectation_report(H2, "T", n_max=2, l_max=1, constants=PAPER)
     assert rows1 == rows2
     assert [(r.n, r.l) for r in rows1] == [(n, l) for n in range(3) for l in range(2)]
     for r in rows1:

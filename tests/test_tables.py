@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hyiqp.constants import PAPER, get_molecule
 from hyiqp.errors import DomainError
 from hyiqp.potential import PotentialParams
-from hyiqp.tables import (MISSING_TABLE_IDS, TABLE_SPECS,
+from hyiqp.tables import (MISSING_TABLE_IDS, TABLE_SPECS, expectation_report,
                           figure_potential_data, figure_wavefunction_data,
                           fixture_tokens, load_fixture, regenerate_table,
                           table_spec, verify_fixture_checksums)
@@ -72,6 +74,28 @@ def test_regenerate_emits_full_grid_with_fixture_column(tid):
         assert row.paper_table == expected_fixture
         if expected_fixture is not None:
             assert row.dev_vs_table is not None
+
+
+@pytest.mark.parametrize("tid", REGENERABLE)
+def test_report_finds_its_published_table(tid):
+    spec = table_spec(tid)
+    rows = expectation_report(get_molecule(spec.molecule), spec.observable, constants=PAPER)
+    assert rows == regenerate_table(tid, PAPER).rows
+
+
+def test_registry_molecule_report_has_no_published_table(tmp_path, monkeypatch):
+    # H2's parameters under another name: every column but the table's is H2's
+    h2 = get_molecule("H2")
+    extra = tmp_path / "extra.csv"
+    extra.write_text("name,A,B,C,alpha,mu\n"
+                     f"H2copy,{h2.a!r},{h2.b!r},{h2.c!r},{h2.alpha!r},{h2.mu!r}\n")
+    monkeypatch.setenv("HYIQP_REGISTRY", str(extra))
+    rows = expectation_report(get_molecule("H2copy"), "T", constants=PAPER)
+    assert all(r.paper_table is None and r.dev_vs_table is None for r in rows)
+    h2_rows = expectation_report(h2, "T", constants=PAPER)
+    assert any(r.paper_table is not None for r in h2_rows)
+    assert rows == [dataclasses.replace(r, paper_table=None, dev_vs_table=None)
+                    for r in h2_rows]
 
 
 def test_regenerate_table_2_sparse_fixture_column():

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from hyiqp.constants import PAPER, PHYSICAL, for_mode, get_molecule
 from hyiqp.errors import ConvergenceError, DomainError, HyiqpError
-from hyiqp.oracle import OracleConfig, solve_matrix
+from hyiqp.oracle import OracleConfig, count_sign_changes, solve_matrix
 from hyiqp.potential import PotentialParams
-from hyiqp.spectrum import (count_sign_changes, energy,
-                            normalization_constant, probability_density,
+from hyiqp.spectrum import (energy, normalization_constant, probability_density,
                             wavefunction)
 
 H2 = get_molecule("H2")
