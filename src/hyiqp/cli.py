@@ -8,8 +8,9 @@ wave-function figures), ``check`` (verification suites), ``molecules``
 
 Output is deterministic: fixed row ordering, floats at 12 significant
 digits, no timestamps.  Exit codes: 0 success, 1 check failure, 2 domain
-error (NaN or infinite input, and any result that leaves double range),
-3 unknown molecule/table lookup.
+error (NaN or infinite input, any result that leaves double range, a
+registry file that redefines a molecule, and a registry or ``--output``
+path that cannot be opened), 3 unknown molecule/table lookup.
 
 Every default of a library parameter belongs to the library function the
 command calls; an option the user leaves out is not passed on.
@@ -322,7 +323,7 @@ def main(argv=None) -> int:
     except UnknownMoleculeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_LOOKUP
-    except (HyiqpError, ValueError) as exc:
+    except (HyiqpError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except ArithmeticError as exc:

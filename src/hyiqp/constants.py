@@ -105,23 +105,22 @@ class Molecule:
             raise DomainError(f"mu must be positive for {self.name!r}")
 
 
-# Canonical registry rows at their published precision.  The strings are
-# what serialization emits, so a round trip reproduces them byte for byte.
-_BUILTIN_ROWS = (
-    ("H2", "0.7416", "1.9426", "1.440558", "0.20990", "0.5039100"),
-    ("LiH", "1.5956", "1.1280", "1.7998368", "1.55000", "0.8801221"),
-    ("HCl", "1.2746", "1.8677", "2.38057", "0.20039", "0.9801045"),
-    ("CO", "1.1283", "2.2994", "2.59441", "0.39000", "6.8606719"),
-)
-
 BUILTIN_MOLECULES = {
-    row[0].lower(): Molecule(row[0], *(float(x) for x in row[1:]))
-    for row in _BUILTIN_ROWS
+    mol.name.lower(): mol for mol in (
+        Molecule("H2", 0.7416, 1.9426, 1.440558, 0.20990, 0.5039100),
+        Molecule("LiH", 1.5956, 1.1280, 1.7998368, 1.55000, 0.8801221),
+        Molecule("HCl", 1.2746, 1.8677, 2.38057, 0.20039, 0.9801045),
+        Molecule("CO", 1.1283, 2.2994, 2.59441, 0.39000, 6.8606719),
+    )
 }
 
 
 def parse_registry(text: str, source: str = "<registry>") -> dict[str, Molecule]:
-    """Parse registry text (header ``name,A,B,C,alpha,mu``) into molecules."""
+    """Parse registry text (header ``name,A,B,C,alpha,mu``) into molecules.
+
+    A file adds molecules and cannot redefine one: a name equal, in any case,
+    to a built-in's or to an earlier row's is a DomainError.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         return {}
@@ -141,36 +140,18 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, Molecule]
             raise DomainError(f"{source}: bad number in {ln!r}") from exc
         if not all(map(math.isfinite, numbers)):
             raise DomainError(f"{source}: non-finite number in {ln!r}")
-        out[name.lower()] = Molecule(name, *numbers)
+        key = name.lower()
+        if key in BUILTIN_MOLECULES or key in out:
+            raise DomainError(f"{source}: molecule {name!r} is already defined")
+        out[key] = Molecule(name, *numbers)
     return out
-
-
-def dump_registry(molecules: dict[str, Molecule] | None = None) -> str:
-    """Serialize a registry back to its file format.
-
-    Built-in molecules are emitted with their canonical strings; any others
-    use repr precision.
-    """
-    if molecules is None:
-        molecules = BUILTIN_MOLECULES
-    canonical = {row[0].lower(): row for row in _BUILTIN_ROWS}
-    lines = [REGISTRY_HEADER]
-    for key, mol in molecules.items():
-        row = canonical.get(key)
-        if row is not None and Molecule(row[0], *(float(x) for x in row[1:])) == mol:
-            lines.append(",".join(row))
-        else:
-            lines.append(
-                ",".join([mol.name] + [repr(v) for v in (mol.a, mol.b, mol.c, mol.alpha, mol.mu)])
-            )
-    return "\n".join(lines) + "\n"
 
 
 def registry() -> dict[str, Molecule]:
     """Full registry: built-ins plus the file HYIQP_REGISTRY names, if any.
 
     The environment variable is the one route to extra molecules, so every
-    lookup sees the same registry.  User entries may shadow built-ins.
+    lookup sees the same registry, and a name always means one molecule.
     """
     path = os.environ.get(REGISTRY_ENV_VAR)
     if not path:

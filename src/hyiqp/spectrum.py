@@ -17,11 +17,10 @@ eigenvalue parameter lambda) fixes
     M     = sigma2 - sigma1 - delta2 + l(l+1) + n^2 + n + 1/2 + (n + 1/2) gamma
     D     = 1 + 2n + gamma
 
-so the level energy is E = -4 (hbar^2/2mu) alpha^2 (M/D)^2 + C.  Note that
-M/D may come out negative: the quantization is then satisfied on the
-negative branch of the square root, which is surfaced as a diagnostic (the
-corresponding state decays only with the principal branch, which is what
-the wave function uses).
+so the level energy is E = -4 (hbar^2/2mu) alpha^2 (M/D)^2 + C.  M/D takes
+either sign, and the sign of a level's ``root`` shows which branch of the
+square root solved the quantization.  The wave function takes the principal
+branch, |M/D|, on either, because only with it does the state decay.
 
 The degree-n factor of the wave function is a Jacobi polynomial in 1 - 2s.
 Three exponent conventions are provided because the closed-form solution
@@ -85,7 +84,6 @@ class SpectrumResult:
     root: float            # signed sqrt(eps2 + sigma3) = M/D on the solved branch
     tau_slope: float
     bound_condition_ok: bool
-    principal_branch: bool
     below_asymptote: bool
 
 
@@ -204,7 +202,6 @@ def energy(p: PotentialParams, mu: float, n: int, l: int,
         root=root,
         tau_slope=tau_slope,
         bound_condition_ok=tau_slope < 0.0,
-        principal_branch=root >= 0.0,
         below_asymptote=e_val < p.c,
     )
 

@@ -511,6 +511,54 @@ def test_registry_row_with_nan_exits_with_a_domain_error(tmp_path, capsys, monke
     assert err.startswith("error: ") and "non-finite" in err
 
 
+# the five commands that look a molecule up, each on the name it redefines
+SHADOWED_ARGVS = [
+    ("table", "10"),
+    ("expect", "--molecule", "H2", "--observable", "T"),
+    ("figure", "9", "--points", "4"),
+    ("energy", "--molecule", "H2", "--n", "0", "--l", "0"),
+    ("molecules",),
+]
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param("H2,0.5,0.2,0.1,0.9,2.5\n", id="built-in"),
+    pytest.param("h2,0.5,0.2,0.1,0.9,2.5\n", id="built-in-lower-case"),
+    pytest.param("XY,1.0,2.0,3.0,0.5,1.25\nxy,1.0,2.0,3.0,0.5,1.25\n", id="repeated"),
+])
+@pytest.mark.parametrize("argv", SHADOWED_ARGVS, ids=lambda argv: argv[0])
+def test_a_registry_that_redefines_a_molecule_exits_with_a_domain_error(
+        tmp_path, capsys, monkeypatch, rows, argv):
+    # the paper's label and table are never printed beside a user's constants
+    extra = tmp_path / "reg.csv"
+    extra.write_text("name,A,B,C,alpha,mu\n" + rows)
+    monkeypatch.setenv("HYIQP_REGISTRY", str(extra))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    name = rows.splitlines()[-1].split(",")[0]
+    assert err == f"error: {extra}: molecule {name!r} is already defined\n"
+
+
+@pytest.mark.parametrize("case", ["missing-registry", "directory-registry", "missing-output-dir"])
+def test_a_path_that_cannot_be_opened_exits_with_a_domain_error(
+        tmp_path, capsys, monkeypatch, case):
+    argv = ["energy", "--molecule", "CO", "--n", "0", "--l", "0"]
+    path = tmp_path / "missing" / "x.csv"
+    if case == "missing-registry":
+        monkeypatch.setenv("HYIQP_REGISTRY", str(path))
+    elif case == "directory-registry":
+        path = tmp_path
+        monkeypatch.setenv("HYIQP_REGISTRY", str(path))
+    else:
+        argv += ["--output", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 _INDEX = st.integers(-1, 13).map(str)
 _MOLECULE = st.sampled_from(("H2", "LiH", "HCl", "CO"))
@@ -556,17 +604,25 @@ def test_every_exit_keeps_the_exit_code_contract(argv):
     # numpy's RuntimeWarnings do not raise in the installed script, they are
     # printed; here they are recorded, and there must be none, so that a
     # domain error prints only its one error line
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        try:
-            code = main(argv)
-        except SystemExit as exc:      # argparse rejects an option's value
-            code = exc.code
+    def run_once():
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:      # argparse rejects an option's value
+                code = exc.code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+            [str(w.message) for w in caught]
+        return code, out, err
+
+    code, out, err = run_once()
+    # a repeated command prints the same bytes and exits the same way
+    again = run_once()
+    assert (again[0], again[1].getvalue(), again[2].getvalue()) == \
+        (code, out.getvalue(), err.getvalue())
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_LOOKUP), err.getvalue()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
-        [str(w.message) for w in caught]
     if code == EXIT_OK:
         for line in out.getvalue().splitlines():
             if line.startswith("#"):
@@ -653,6 +709,19 @@ def test_every_exported_name_resolves():
         assert namespace[name] is getattr(oracle, name)
     with pytest.raises(AttributeError, match="no attribute 'solve_schroedinger'"):
         hyiqp.solve_schroedinger
+
+
+def test_exported_functions_are_not_their_modules():
+    # importing a submodule binds it on the package under its own name, so
+    # hyiqp.potential and hyiqp.jacobi stay functions only because __init__
+    # imports them eagerly, after their modules; a lazy export would lose this
+    import importlib
+
+    import hyiqp
+
+    for name in ("potential", "jacobi"):
+        module = importlib.import_module(f"hyiqp.{name}")
+        assert getattr(hyiqp, name) is getattr(module, name)
 
 
 # SHA-256 of stdout (numpy 2.4.6, scipy 1.17.1).  The two bound expect

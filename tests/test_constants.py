@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyiqp.constants import (PAPER, PHYSICAL, BUILTIN_MOLECULES, Molecule,
-                             PhysicalConstants, dump_registry, for_mode,
-                             get_molecule, hbar2_over_2mu, parse_registry,
-                             registry)
+                             PhysicalConstants, for_mode, get_molecule,
+                             hbar2_over_2mu, parse_registry, registry)
 from hyiqp.errors import DomainError, UnknownMoleculeError
 
 # canonical tabulated constants (name, A, B, C, alpha, mu)
@@ -83,30 +82,32 @@ def test_mode_validation_and_for_mode():
         PhysicalConstants(mode="natural")
 
 
-def test_registry_round_trip_is_identity():
-    text = dump_registry()
-    reloaded = parse_registry(text)
-    assert reloaded == BUILTIN_MOLECULES
-    # serialization reproduces the published rows at their printed precision
-    lines = text.strip().splitlines()
-    assert lines[0] == "name,A,B,C,alpha,mu"
-    assert "H2,0.7416,1.9426,1.440558,0.20990,0.5039100" in lines
-    assert "LiH,1.5956,1.1280,1.7998368,1.55000,0.8801221" in lines
-    assert "HCl,1.2746,1.8677,2.38057,0.20039,0.9801045" in lines
-    assert "CO,1.1283,2.2994,2.59441,0.39000,6.8606719" in lines
-
-
 _NAME = st.text(string.ascii_letters + string.digits + "_+-()", min_size=1, max_size=12)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(rows=st.lists(st.tuples(_NAME, _FINITE, _FINITE, _FINITE, _POSITIVE, _POSITIVE),
-                     max_size=6))
-def test_registry_dump_parse_round_trips(rows):
+@given(rows=st.lists(st.tuples(_NAME.filter(lambda name: name.lower() not in BUILTIN_MOLECULES),
+                               _FINITE, _FINITE, _FINITE, _POSITIVE, _POSITIVE),
+                     max_size=6, unique_by=lambda row: row[0].lower()))
+def test_registry_rows_at_repr_precision_parse_back(rows):
+    text = "\n".join(["name,A,B,C,alpha,mu"]
+                     + [",".join([name] + [repr(v) for v in values]) for name, *values in rows])
     molecules = {name.lower(): Molecule(name, *values) for name, *values in rows}
-    assert parse_registry(dump_registry(molecules)) == molecules
+    assert parse_registry(text) == molecules
+
+
+@pytest.mark.parametrize("rows, name", [
+    *[(f"{alias},1.0,2.0,3.0,0.5,1.25", alias) for alias in ("H2", "h2", "LIH", "hCl", "cO")],
+    ("XY,1.0,2.0,3.0,0.5,1.25\nxy,1.0,2.0,3.0,0.5,1.25", "xy"),
+])
+def test_registry_refuses_a_second_definition_of_a_name(rows, name):
+    # a name means one molecule: the tables, figures and checks key the
+    # paper's output to the built-in names
+    with pytest.raises(DomainError) as err:
+        parse_registry("name,A,B,C,alpha,mu\n" + rows, source="extra.csv")
+    assert str(err.value) == f"extra.csv: molecule {name!r} is already defined"
 
 
 def test_mode_switch_leaves_registry_untouched():
