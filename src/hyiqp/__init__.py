@@ -23,11 +23,9 @@ from .jacobi import jacobi
 from .potential import (PotentialParams, effective_potential,
                         greene_aldrich_inv_r, greene_aldrich_inv_r2, hulthen,
                         inverse_quadratic, potential, potential_curves, yukawa)
-from .spectrum import (DimensionlessParams, NUIntermediates, SpectrumResult,
-                       dimensionless_params, energy, energy_hulthen,
+from .spectrum import (NUIntermediates, SpectrumResult, energy, energy_hulthen,
                        energy_iqp, energy_value, energy_yukawa,
-                       normalization_constant, nu_consistency,
-                       probability_density, wavefunction)
+                       normalization_constant, nu_consistency, wavefunction)
 from .tables import (TableResult, expectation_report, load_fixture,
                      regenerate_table, verify_fixture_checksums)
 
@@ -60,10 +58,9 @@ __all__ = [
     "PotentialParams", "effective_potential", "greene_aldrich_inv_r",
     "greene_aldrich_inv_r2", "hulthen", "inverse_quadratic", "potential",
     "potential_curves", "yukawa",
-    "DimensionlessParams", "NUIntermediates", "SpectrumResult",
-    "dimensionless_params", "energy", "energy_hulthen", "energy_iqp",
-    "energy_value", "energy_yukawa", "normalization_constant",
-    "nu_consistency", "probability_density", "wavefunction",
+    "NUIntermediates", "SpectrumResult", "energy", "energy_hulthen",
+    "energy_iqp", "energy_value", "energy_yukawa", "normalization_constant",
+    "nu_consistency", "wavefunction",
     "TableResult", "expectation_report", "load_fixture", "regenerate_table",
     "verify_fixture_checksums",
     "__version__",

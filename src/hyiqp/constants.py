@@ -121,7 +121,7 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, Molecule]
     A file adds molecules and cannot redefine one: a name equal, in any case,
     to a built-in's or to an earlier row's is a DomainError.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         return {}
     if lines[0].replace(" ", "") != REGISTRY_HEADER:
@@ -134,6 +134,8 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, Molecule]
         if len(fields) != 6:
             raise DomainError(f"{source}: expected 6 comma-separated fields, got {ln!r}")
         name = fields[0]
+        if not name:
+            raise DomainError(f"{source}: empty molecule name in {ln!r}")
         try:
             numbers = [float(x) for x in fields[1:]]
         except ValueError as exc:

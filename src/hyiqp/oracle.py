@@ -1,9 +1,10 @@
 """Independent radial-grid solver used to cross-check every closed form.
 
-The radial equation is discretized with the exact potential (no
-exponential-ratio surrogate anywhere) on a uniform grid with Dirichlet ends:
-
-    -(hbar^2/2mu) u'' + [V(r) + (hbar^2/2mu) l(l+1)/r^2] u = E u
+Each solve discretizes one RadialProblem, -(hbar^2/2mu) u'' + V_eff u = E u,
+on a uniform grid with Dirichlet ends, and evaluates V_eff on the interior
+points only (_discretize).  exact_problem, the one route from (params, l, mu,
+unit mode) to a problem, builds it from the exact potential, V_eff = V(r) +
+(hbar^2/2mu) l(l+1)/r^2, with no exponential-ratio surrogate anywhere.
 
 Two methods are provided.  ``solve_matrix`` builds the symmetric
 tridiagonal second-order central-difference Hamiltonian and extracts the
@@ -50,6 +51,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,9 +95,42 @@ def default_config(alpha: float) -> OracleConfig:
     return OracleConfig(r_max=DEFAULT_R_MAX_TIMES_ALPHA / alpha)
 
 
+@dataclass(frozen=True)
+class RadialProblem:
+    """One radial Hamiltonian -(hbar^2/2mu) d^2/dr^2 + V_eff(r), all the solvers read.
+
+    h2m is hbar^2/2mu, v_eff maps an array of r to V_eff(r), c is its asymptote.
+    integrands maps r_m2 and r_m1_screened to their dH/dq integrand, (r, u^2)
+    -> u^2 f(r); centrifugal is hbar^2 l(l+1)/2mu, and p2_factor the 2 mu
+    that turns <T> into <p^2>.
+    """
+
+    h2m: float
+    v_eff: Callable[[np.ndarray], np.ndarray]
+    c: float
+    integrands: Mapping[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]
+    centrifugal: float
+    p2_factor: float
+
+
+def exact_problem(p: PotentialParams, l: int, mu: float,
+                  constants: PhysicalConstants) -> RadialProblem:
+    """The radial problem of the exact potential p at angular momentum l."""
+    h2m = hbar2_over_2mu(mu, constants)
+    return RadialProblem(
+        h2m=h2m,
+        v_eff=lambda r: effective_potential(r, p, l, mu, constants),
+        c=p.c,
+        integrands={"r_m2": lambda r, u2: u2 / r**2,
+                    "r_m1_screened": lambda r, u2: u2 * np.exp(-p.alpha * r) / r},
+        centrifugal=h2m * l * (l + 1),
+        p2_factor=2.0 * mu_energy_units(mu, constants),
+    )
+
+
 @dataclass
 class RadialGridSolution:
-    """Bound eigenpairs of one (potential, l) problem on the grid.
+    """Bound eigenpairs of one radial problem on the grid.
 
     grid holds the interior points; each eigenvalue is the Rayleigh quotient
     of its eigenvector, which is normalized to h sum u^2 = 1 (the module's
@@ -107,10 +142,7 @@ class RadialGridSolution:
     eigenvectors: np.ndarray          # shape (n_states, n_interior)
     node_counts: list[int]
     v_eff: np.ndarray
-    params: PotentialParams
-    l: int
-    mu: float
-    constants: PhysicalConstants
+    problem: RadialProblem
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -167,9 +199,11 @@ def count_sign_changes(values, threshold_ratio: float = 1e-12) -> int:
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def _interior_grid(cfg: OracleConfig):
+def _discretize(problem: RadialProblem, cfg: OracleConfig):
+    """The interior points r, the spacing h and V_eff(r): the walls carry u = 0."""
     full = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)
-    return full, full[1:-1], full[1] - full[0]
+    r = full[1:-1]
+    return r, full[1] - full[0], problem.v_eff(r)
 
 
 def _rayleigh_quotient(u: np.ndarray, v_eff: np.ndarray, c: float) -> float:
@@ -226,21 +260,21 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     lapack = _lapack()
     if k_states < 1:
         raise DomainError("k_states must be at least 1")
-    _full, r, h = _interior_grid(cfg)
-    if k_states > r.size:
+    if k_states > cfg.n_points - 2:
         raise DomainError("k_states exceeds the number of interior grid points")
-    h2m = hbar2_over_2mu(mu, constants)
-    v_eff = effective_potential(r, p, l, mu, constants)
+    problem = exact_problem(p, l, mu, constants)
+    r, h, v_eff = _discretize(problem, cfg)
+    h2m, c = problem.h2m, problem.c
     diag = 2.0 * h2m / h**2 + v_eff
     off = np.full(r.size - 1, -h2m / h**2)
     norm = np.max(np.abs(diag)) + 2.0 * h2m / h**2
-    shift = p.c + EIG_TOL * max(1.0, abs(p.c)) + 8.0 * np.finfo(float).eps * norm
+    shift = c + EIG_TOL * max(1.0, abs(c)) + 8.0 * np.finfo(float).eps * norm
     if below_asymptote_only and lapack.dpttrf(diag - shift, off)[2] == 0:
         eigenvalues, vectors = np.empty(0), None
     else:
         if not np.isfinite(norm):
             raise DomainError("the effective potential is not finite on the grid")
-        tol = ISOLATION_TOL * max(1.0, abs(p.c))
+        tol = ISOLATION_TOL * max(1.0, abs(c))
         # range 2 = levels il..iu (1-based); order "B" is ascending for the
         # one block a nonzero off-diagonal leaves
         m, shifts, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1,
@@ -249,7 +283,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
             raise ConvergenceError(f"LAPACK dstebz failed (info={info})")
         shifts = shifts[:m]
         if below_asymptote_only:
-            shifts = shifts[shifts <= p.c + tol]
+            shifts = shifts[shifts <= c + tol]
         vectors, info = lapack.dstein(diag, off, shifts, iblock, isplit)
         if info != 0:
             raise ConvergenceError(f"inverse iteration (LAPACK dstein) did not converge "
@@ -260,11 +294,11 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     diagnostics = []
     keep = np.arange(k_states)
     if below_asymptote_only:
-        keep = np.nonzero(eigenvalues < p.c)[0]
+        keep = np.nonzero(eigenvalues < c)[0]
         if keep.size < k_states:
             diagnostics.append(
                 f"only {keep.size} of {k_states} requested states lie below "
-                f"the asymptote C={p.c:.6g}; unbound box states dropped"
+                f"the asymptote C={c:.6g}; unbound box states dropped"
             )
 
     vecs = []
@@ -282,10 +316,7 @@ def solve_matrix(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
         eigenvectors=np.array(vecs) if vecs else np.empty((0, r.size)),
         node_counts=nodes,
         v_eff=v_eff,
-        params=p,
-        l=l,
-        mu=mu,
-        constants=constants,
+        problem=problem,
         diagnostics=diagnostics,
     )
 
@@ -318,8 +349,7 @@ def _nonpositive_pivots(d: np.ndarray) -> int:
     return count + int(start == d.size - 1 and d[start] <= 0.0)
 
 
-def _level_counter(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
-                   lo: float, constants: PhysicalConstants):
+def _level_counter(problem: RadialProblem, cfg: OracleConfig, lo: float):
     """count(E), the number of Numerov levels below E, for E >= lo.
 
     At or below the interior minimum of V_eff, g <= 0 everywhere, so the
@@ -328,12 +358,12 @@ def _level_counter(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     e_floor = max(lo, min V_eff), so a lower end far below the potential
     cannot move it into the well.
     """
-    full, _interior, h = _interior_grid(cfg)
-    v_eff = effective_potential(full, p, l, mu, constants)
-    step = h * h / (12.0 * hbar2_over_2mu(mu, constants))
-    v_floor = float(v_eff[1:-1].min())
-    wall = np.flatnonzero(1.0 + step * (max(lo, v_floor) - v_eff) <= 0.0).max(initial=0)
-    v_eff = v_eff[wall + 1:-1]
+    _r, h, v_eff = _discretize(problem, cfg)
+    step = h * h / (12.0 * problem.h2m)
+    v_floor = float(v_eff.min())
+    # -1 when every interior point resolves the barrier: the wall is r_min
+    wall = np.flatnonzero(1.0 + step * (max(lo, v_floor) - v_eff) <= 0.0).max(initial=-1)
+    v_eff = v_eff[wall + 1:]
 
     def count(e):
         if e <= v_floor:
@@ -366,7 +396,7 @@ def solve_numerov(p: PotentialParams, l: int, mu: float, cfg: OracleConfig,
     number of levels below it.
     """
     lo, hi = float(min(e_bracket)), float(max(e_bracket))
-    count = _level_counter(p, l, mu, cfg, lo, constants)
+    count = _level_counter(exact_problem(p, l, mu, constants), cfg, lo)
     below = count(lo)
     levels = count(hi) - below
     if levels != 1:
@@ -399,20 +429,18 @@ def expectation_numeric(sol: RadialGridSolution, state: int, observable: str) ->
     if not 0 <= state < len(sol.eigenvalues):
         raise DomainError(
             f"state {state} out of range; solution holds {len(sol.eigenvalues)} states")
-    r, u2 = sol.grid, sol.eigenvectors[state] ** 2
+    problem, r, u2 = sol.problem, sol.grid, sol.eigenvectors[state] ** 2
     norm = np.sum(u2)
-    if observable == "r_m2":
-        return float(np.sum(u2 / r**2) / norm)
-    if observable == "r_m1_screened":
-        return float(np.sum(u2 * np.exp(-sol.params.alpha * r) / r) / norm)
+    if observable in problem.integrands:
+        return float(np.sum(problem.integrands[observable](r, u2)) / norm)
     if observable in ("kinetic", "p2"):
         kinetic = float(sol.eigenvalues[state] - np.sum(u2 * sol.v_eff) / norm)
-        if sol.l:
-            kinetic += (hbar2_over_2mu(sol.mu, sol.constants) * sol.l * (sol.l + 1)
-                        * float(np.sum(u2 / r**2) / norm))
+        if problem.centrifugal:
+            kinetic += problem.centrifugal * float(
+                np.sum(problem.integrands["r_m2"](r, u2)) / norm)
         if observable == "kinetic":
             return kinetic
-        return 2.0 * mu_energy_units(sol.mu, sol.constants) * kinetic
+        return problem.p2_factor * kinetic
     raise DomainError(
         f"unknown numeric observable {observable!r}; "
         "choose r_m2, r_m1_screened, kinetic or p2")

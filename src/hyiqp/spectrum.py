@@ -54,17 +54,6 @@ WAVEFUNCTION_CONVENTIONS = ("literal", "weight", "orthodox")
 
 
 @dataclass(frozen=True)
-class DimensionlessParams:
-    """The five dimensionless groups of the transformed radial equation."""
-
-    eps2: float
-    delta2: float
-    sigma1: float
-    sigma2: float
-    sigma3: float
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """One closed-form level with its quantization audit.
 
@@ -111,15 +100,6 @@ def _groups(p: PotentialParams, h2):
     yield p.a / (2.0 * h2 * p.alpha)
     yield p.v0 / (4.0 * h2 * p.alpha**2)
     yield p.c / (4.0 * h2 * p.alpha**2)
-
-
-def dimensionless_params(p: PotentialParams, mu: float, energy: float,
-                         constants: PhysicalConstants) -> DimensionlessParams:
-    """Dimensionless groups at a given energy in the active unit mode."""
-    h2 = hbar2_over_2mu(mu, constants)
-    eps2 = -energy / (4.0 * h2 * p.alpha**2)
-    sigma2, sigma1, delta2, sigma3 = _groups(p, h2)
-    return DimensionlessParams(eps2, delta2, sigma1, sigma2, sigma3)
 
 
 def _check_nl(n, l, allow_real_l=False):
@@ -391,11 +371,3 @@ def wavefunction(r, p: PotentialParams, mu: float, n: int, l: int,
     if normalized:
         psi = psi * normalization_constant(p, mu, n, l, constants, convention)
     return psi if psi.ndim else float(psi)
-
-
-def probability_density(r, p: PotentialParams, mu: float, n: int, l: int,
-                        constants: PhysicalConstants, convention: str):
-    """Squared normalized wave function."""
-    psi = wavefunction(r, p, mu, n, l, constants, normalized=True,
-                       convention=convention)
-    return psi**2

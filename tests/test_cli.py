@@ -511,6 +511,17 @@ def test_registry_row_with_nan_exits_with_a_domain_error(tmp_path, capsys, monke
     assert err.startswith("error: ") and "non-finite" in err
 
 
+def test_a_registry_row_without_a_name_exits_with_a_domain_error(tmp_path, capsys, monkeypatch):
+    extra = tmp_path / "reg.csv"
+    extra.write_text("name,A,B,C,alpha,mu\n,1.0,2.0,3.0,0.5,1.25\n")
+    monkeypatch.setenv("HYIQP_REGISTRY", str(extra))
+    for argv in (("energy", "--molecule", "", "--n", "0", "--l", "0"), ("molecules",)):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == f"error: {extra}: empty molecule name in ',1.0,2.0,3.0,0.5,1.25'\n"
+
+
 # the five commands that look a molecule up, each on the name it redefines
 SHADOWED_ARGVS = [
     ("table", "10"),

@@ -110,6 +110,17 @@ def test_registry_refuses_a_second_definition_of_a_name(rows, name):
     assert str(err.value) == f"extra.csv: molecule {name!r} is already defined"
 
 
+def test_registry_skips_an_indented_comment():
+    text = "  # a note\nname,A,B,C,alpha,mu\n\t# another\nXY,1.0,2.0,3.0,0.5,1.25\n   #\n"
+    assert parse_registry(text) == {"xy": Molecule("XY", 1.0, 2.0, 3.0, 0.5, 1.25)}
+
+
+def test_registry_refuses_an_empty_name():
+    with pytest.raises(DomainError) as err:
+        parse_registry("name,A,B,C,alpha,mu\n ,1.0,2.0,3.0,0.5,1.25", source="extra.csv")
+    assert str(err.value) == "extra.csv: empty molecule name in ',1.0,2.0,3.0,0.5,1.25'"
+
+
 def test_mode_switch_leaves_registry_untouched():
     before = dict(BUILTIN_MOLECULES)
     hbar2_over_2mu(1.0, PAPER)

@@ -16,7 +16,7 @@ from hyiqp.constants import PAPER, PHYSICAL, get_molecule, hbar2_over_2mu
 from hyiqp.errors import ConvergenceError, DomainError
 from hyiqp.oracle import (EIG_TOL, ISOLATION_TOL, NumerovResult, OracleConfig, _lapack, _level_counter,
                           _nonpositive_pivots, _rayleigh_quotient, default_config,
-                          expectation_numeric, solve_matrix, solve_numerov)
+                          exact_problem, expectation_numeric, solve_matrix, solve_numerov)
 from hyiqp.potential import PotentialParams, effective_potential
 
 ANCHOR = PotentialParams(v0=2.0, a=0.0, b=0.0, c=0.0, alpha=0.05)
@@ -194,7 +194,7 @@ def test_level_count_matches_the_recurrence(p, l, mu, cfg, constants, k):
     full = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)
     v_eff = effective_potential(full, p, l, mu, constants)
     step = (full[1] - full[0]) ** 2 / (12.0 * hbar2_over_2mu(mu, constants))
-    count = _level_counter(p, l, mu, cfg, e_k - 0.02, constants)
+    count = _level_counter(exact_problem(p, l, mu, constants), cfg, e_k - 0.02)
     # the last unresolved point at the lower end
     wall = np.flatnonzero(1.0 + step * (e_k - 0.02 - v_eff) <= 0.0).max(initial=0)
     for e in (e_k - 0.02, e_k, *(e_k + 0.02 / 2**j for j in range(6))):
@@ -224,7 +224,7 @@ def test_level_count_of_a_box_with_a_thousand_levels():
     c = hbar2_over_2mu(1.0, PAPER)
     width = BOX_CFG.r_max - BOX_CFG.r_min
     e = c * (1000.5 * np.pi / width) ** 2
-    count = _level_counter(BOX, 0, 1.0, BOX_CFG, e, PAPER)
+    count = _level_counter(exact_problem(BOX, 0, 1.0, PAPER), BOX_CFG, e)
     assert count(e) == 1000
     h = np.linspace(BOX_CFG.r_min, BOX_CFG.r_max, BOX_CFG.n_points)[1] - BOX_CFG.r_min
     w = 1.0 + h * h / (12.0 * c) * e
@@ -410,7 +410,7 @@ def test_numerov_count_is_monotone_and_matches_the_matrix(v0, l, physical, name)
                           below_asymptote_only=False).eigenvalues
     # halfway between neighbouring matrix levels, and as far below the lowest
     between = np.append(1.5 * levels[0] - 0.5 * levels[1], 0.5 * (levels[:-1] + levels[1:]))
-    count = _level_counter(p, l, mol.mu, cfg, between[0], constants)
+    count = _level_counter(exact_problem(p, l, mol.mu, constants), cfg, between[0])
     assert [count(e) for e in between] == list(range(between.size))
     counts = [count(e) for e in np.linspace(between[0], between[-1], 41)]
     assert np.all(np.diff(counts) >= 0)
@@ -611,3 +611,33 @@ def test_solves_equal_those_through_scipy_linalg_lapack(monkeypatch, p, l, mu, c
     assert np.array_equal(sol.eigenvalues, ref.eigenvalues)
     assert np.array_equal(sol.eigenvectors, ref.eigenvectors)
     assert sol.node_counts == ref.node_counts
+
+
+@pytest.mark.parametrize("p, l, mu, cfg, k_states", [
+    pytest.param(ANCHOR, 0, 1.0, ANCHOR_CFG, 3, id="anchor"),
+    *(pytest.param(PotentialParams.from_molecule(_HCL, v0=4.0), l, _HCL.mu,
+                   default_config(_HCL.alpha), 9, id=f"HCl-paper-v0-4-l{l}")
+      for l in range(3)),
+])
+def test_means_are_the_grid_rule_bit_for_bit(p, l, mu, cfg, k_states):
+    # each mean recomputed from (p, l, mu, constants) as the module's rule
+    # states it, compared with ==: one ulp of drift in any of them fails
+    sol = solve_matrix(p, l, mu, cfg, k_states, PAPER)
+    r = np.linspace(cfg.r_min, cfg.r_max, cfg.n_points)[1:-1]
+    assert np.array_equal(sol.grid, r)
+    v_eff = effective_potential(r, p, l, mu, PAPER)
+    assert len(sol.eigenvalues) >= 3
+    for k, (e, u) in enumerate(zip(sol.eigenvalues, sol.eigenvectors)):
+        u2 = u**2
+        norm = np.sum(u2)
+        r_m2 = float(np.sum(u2 / r**2) / norm)
+        kinetic = float(e - np.sum(u2 * v_eff) / norm)
+        if l:
+            kinetic += hbar2_over_2mu(mu, PAPER) * l * (l + 1) * r_m2
+        expected = {"r_m2": r_m2,
+                    "r_m1_screened": float(np.sum(u2 * np.exp(-p.alpha * r) / r) / norm),
+                    "kinetic": kinetic,
+                    "p2": 2.0 * mu * kinetic}     # paper mode: mu is the bare number
+        got = {o: expectation_numeric(sol, k, o) for o in expected}
+        assert got == expected
+        assert all(type(v) is float for v in got.values())

@@ -8,9 +8,8 @@ from scipy.optimize import brentq
 from hyiqp.constants import PAPER, PHYSICAL, BUILTIN_MOLECULES, get_molecule, hbar2_over_2mu
 from hyiqp.errors import DomainError, UnsupportedRegimeError
 from hyiqp.potential import PotentialParams
-from hyiqp.spectrum import (dimensionless_params, energy, energy_hulthen,
-                            energy_iqp, energy_value, energy_yukawa,
-                            nu_consistency)
+from hyiqp.spectrum import (energy, energy_hulthen, energy_iqp, energy_value,
+                            energy_yukawa, nu_consistency)
 
 H2 = get_molecule("H2")
 MOLECULES = [BUILTIN_MOLECULES[k] for k in ("h2", "lih", "hcl", "co")]
@@ -21,30 +20,6 @@ V0, A, B, C = (st.floats(-50.0, 50.0), st.floats(-20.0, 20.0), st.floats(0.0, 20
                st.floats(-10.0, 10.0))
 LOG_ALPHA, LOG_MU = st.floats(-2.0, 1.0), st.floats(-1.0, 1.5)
 N, L = st.integers(0, 12), st.integers(0, 12)
-
-
-def test_dimensionless_zero_cases():
-    p = PotentialParams(v0=1.0, a=1.0, b=1.0, c=0.0, alpha=0.5)
-    d = dimensionless_params(p, 1.0, 0.0, PAPER)
-    assert d.eps2 == 0.0 and d.sigma3 == 0.0
-
-
-def test_dimensionless_sigma2_identity():
-    p = PotentialParams(v0=0.0, a=0.0, b=1.0, c=0.0, alpha=0.5)
-    d = dimensionless_params(p, 0.5, 0.0, PAPER)
-    assert d.sigma2 == 1.0   # 2 * mu * B with hbar = 1
-
-
-def test_dimensionless_h2_hand_values():
-    # paper mode, E = -1: direct scalar evaluation of the definitions
-    p = PotentialParams.from_molecule(H2, v0=0.0)
-    d = dimensionless_params(p, H2.mu, -1.0, PAPER)
-    mu, al = 0.5039100, 0.20990
-    assert d.eps2 == pytest.approx(mu * 1.0 / (2 * al**2), rel=1e-14)
-    assert d.delta2 == 0.0
-    assert d.sigma1 == pytest.approx(mu * 0.7416 / al, rel=1e-14)
-    assert d.sigma2 == pytest.approx(2 * mu * 1.9426, rel=1e-14)
-    assert d.sigma3 == pytest.approx(mu * 1.440558 / (2 * al**2), rel=1e-14)
 
 
 def test_hulthen_matches_textbook_screened_well():

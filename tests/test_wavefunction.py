@@ -10,7 +10,7 @@ from hyiqp.constants import PAPER, PHYSICAL, for_mode, get_molecule
 from hyiqp.errors import ConvergenceError, DomainError, HyiqpError
 from hyiqp.oracle import OracleConfig, count_sign_changes, solve_matrix
 from hyiqp.potential import PotentialParams
-from hyiqp.spectrum import (energy, normalization_constant, probability_density,
+from hyiqp.spectrum import (energy, normalization_constant,
                             wavefunction)
 
 H2 = get_molecule("H2")
@@ -201,11 +201,8 @@ def test_stated_exponent_conventions_lack_nodal_structure():
 
 def test_density_is_normalized_square():
     r = np.linspace(0.05, 120.0, 200001)
-    dens = probability_density(r, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
-    assert np.all(dens >= 0.0)
+    dens = wavefunction(r, H2_P, H2.mu, 0, 0, PAPER, normalized=True, convention="literal") ** 2
     assert np.trapezoid(dens, r) == pytest.approx(1.0, abs=1e-6)
-    psi = wavefunction(r, H2_P, H2.mu, 0, 0, PAPER, normalized=True, convention="literal")
-    assert np.array_equal(dens, psi**2)
 
 
 def test_h2_density_peak_matches_closed_form_location():
@@ -217,7 +214,7 @@ def test_h2_density_peak_matches_closed_form_location():
     s_star = q / (1.0 + q)
     r_star = -math.log(s_star) / (2.0 * H2.alpha)
     r = np.linspace(0.5, 12.0, 23001)
-    dens = probability_density(r, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
+    dens = wavefunction(r, H2_P, H2.mu, 0, 0, PAPER, convention="literal") ** 2
     assert r[int(np.argmax(dens))] == pytest.approx(r_star, abs=2 * (r[1] - r[0]))
 
 
@@ -228,7 +225,7 @@ def test_anchor_density_peak_matches_grid_oracle_peak():
     r = sol.grid
     u = sol.eigenvectors[0]
     r_oracle = r[int(np.argmax(u * u))]
-    dens = probability_density(r, ANCHOR, 1.0, 0, 0, PAPER, convention="orthodox")
+    dens = wavefunction(r, ANCHOR, 1.0, 0, 0, PAPER, convention="orthodox") ** 2
     r_analytic = r[int(np.argmax(dens))]
     spacing = r[1] - r[0]
     assert abs(r_analytic - r_oracle) <= spacing
@@ -247,7 +244,7 @@ def test_r_must_be_positive():
     with pytest.raises(DomainError):
         wavefunction(0.0, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
     with pytest.raises(DomainError):
-        probability_density(-1.0, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
+        wavefunction(-1.0, H2_P, H2.mu, 0, 0, PAPER, convention="literal")
 
 
 def test_unknown_convention_rejected():
