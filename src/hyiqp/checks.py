@@ -323,8 +323,8 @@ def run_suite(name: str) -> list[CheckResult]:
     """Run one suite (or ``all``) and return every assertion result."""
     if name == "all":
         out = []
-        for key in ("reduction", "hft", "nu", "oracle"):
-            out.extend(SUITES[key]())
+        for suite in SUITES.values():
+            out.extend(suite())
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "

@@ -145,7 +145,10 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, Molecule]
         key = name.lower()
         if key in BUILTIN_MOLECULES or key in out:
             raise DomainError(f"{source}: molecule {name!r} is already defined")
-        out[key] = Molecule(name, *numbers)
+        try:
+            out[key] = Molecule(name, *numbers)
+        except DomainError as exc:
+            raise DomainError(f"{source}: {exc}") from None
     return out
 
 
@@ -158,7 +161,8 @@ def registry() -> dict[str, Molecule]:
     path = os.environ.get(REGISTRY_ENV_VAR)
     if not path:
         return dict(BUILTIN_MOLECULES)
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that Excel and PowerShell write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return {**BUILTIN_MOLECULES, **parse_registry(fh.read(), source=path)}
 
 

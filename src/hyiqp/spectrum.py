@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from .constants import PhysicalConstants, hbar2_over_2mu
 from .errors import ConvergenceError, DomainError, UnsupportedRegimeError
 from .jacobi import jacobi
-from .potential import PotentialParams, _check_alpha
+from .potential import PotentialParams, _check_alpha, _check_r
 
 NU_RESIDUAL_TOL = 1e-10
 
@@ -92,16 +92,6 @@ class NUIntermediates:
     bound_condition_ok: bool
 
 
-def _groups(p: PotentialParams, h2):
-    """sigma2, sigma1, delta2, sigma3: B, A, V0, C over their energy scales, lazily,
-    so _energy_pieces tests gamma's radicand before a division by alpha can overflow.
-    """
-    yield p.b / h2
-    yield p.a / (2.0 * h2 * p.alpha)
-    yield p.v0 / (4.0 * h2 * p.alpha**2)
-    yield p.c / (4.0 * h2 * p.alpha**2)
-
-
 def _check_nl(n, l, allow_real_l=False):
     if n < 0 or n != int(n):
         raise DomainError(f"n must be a non-negative integer, got {n}")
@@ -120,12 +110,12 @@ def _energy_pieces(p: PotentialParams, mu: float, n: int, l: float,
     """h2, gamma, delta2, sigma1, sigma2, sigma3, M and D of energy and derivatives.
 
     l, A or mu may be complex (the complex-step derivative); the real path
-    never touches cmath.
+    never touches cmath.  gamma's radicand is tested before any division by
+    alpha, which can overflow.
     """
     h2 = hbar2_over_2mu(mu, constants)
     ll1 = l * (l + 1.0)
-    groups = _groups(p, h2)
-    sigma2 = next(groups)
+    sigma2 = p.b / h2
     radicand = 4.0 * sigma2 + 4.0 * ll1 + 1.0
     if radicand.real < 0.0:
         raise UnsupportedRegimeError(
@@ -133,7 +123,9 @@ def _energy_pieces(p: PotentialParams, mu: float, n: int, l: float,
             f"({radicand:.6g}); the inverse-square attraction is too strong"
         )
     gamma = cmath.sqrt(radicand) if isinstance(radicand, complex) else math.sqrt(radicand)
-    sigma1, delta2, sigma3 = groups
+    sigma1 = p.a / (2.0 * h2 * p.alpha)
+    delta2 = p.v0 / (4.0 * h2 * p.alpha**2)
+    sigma3 = p.c / (4.0 * h2 * p.alpha**2)
     m_num = (sigma2 - sigma1 - delta2 + ll1) + n * n + n + 0.5 + (n + 0.5) * gamma
     d_den = 1.0 + 2.0 * n + gamma
     return h2, gamma, delta2, sigma1, sigma2, sigma3, m_num, d_den
@@ -361,9 +353,7 @@ def wavefunction(r, p: PotentialParams, mu: float, n: int, l: int,
     """
     import numpy as np
 
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be strictly positive")
+    r = _check_r(r)
     res, sqrt_p, a_exp, b_exp = _psi_factors(p, mu, n, l, constants, convention)
     s = np.exp(-2.0 * p.alpha * r)
     psi = (s**sqrt_p * (1.0 - s) ** (0.5 + 0.5 * res.gamma)

@@ -706,20 +706,71 @@ def test_cold_commands_import_only_the_numpy_and_scipy_they_use(argvs, trees, na
     assert proc.stdout.strip() == "[]"
 
 
+# each public name of hyiqp under the module that defines it
+PUBLIC_NAMES = {
+    "constants": ("PAPER", "PHYSICAL", "BUILTIN_MOLECULES", "Molecule", "PhysicalConstants",
+                  "for_mode", "get_molecule", "hbar2_over_2mu", "registry"),
+    "errors": ("ConvergenceError", "DomainError", "HyiqpError", "UnknownMoleculeError",
+               "UnsupportedRegimeError"),
+    "hft": ("DerivativeResult", "ObservableValue", "d_energy_d_param",
+            "observable_for_params"),
+    "jacobi": ("jacobi",),
+    "oracle": ("NumerovResult", "OracleConfig", "RadialGridSolution", "default_config",
+               "expectation_numeric", "solve_matrix", "solve_numerov"),
+    "potential": ("PotentialParams", "effective_potential", "greene_aldrich_inv_r",
+                  "greene_aldrich_inv_r2", "hulthen", "inverse_quadratic", "potential",
+                  "potential_curves", "yukawa"),
+    "spectrum": ("NUIntermediates", "SpectrumResult", "energy", "energy_hulthen",
+                 "energy_iqp", "energy_value", "energy_yukawa", "normalization_constant",
+                 "nu_consistency", "wavefunction"),
+    "tables": ("TableResult", "expectation_report", "load_fixture", "regenerate_table",
+               "verify_fixture_checksums"),
+}
+
+
 def test_every_exported_name_resolves():
-    # the grid-oracle names are resolved lazily, on first access
+    # every name is its defining module's object, through from-import-star too
+    import importlib
+
     import hyiqp
-    from hyiqp import oracle
 
     namespace = {}
     exec("from hyiqp import *", namespace)
-    for name in hyiqp.__all__:
-        assert namespace[name] is getattr(hyiqp, name)
-    for name in hyiqp._ORACLE_NAMES:
-        assert name in hyiqp.__all__
-        assert namespace[name] is getattr(oracle, name)
+    expected = {name for names in PUBLIC_NAMES.values() for name in names}
+    assert set(hyiqp.__all__) == expected | {"__version__"}
+    assert len(hyiqp.__all__) == 51
+    for module_name, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"hyiqp.{module_name}")
+        for name in names:
+            assert getattr(hyiqp, name) is getattr(module, name)
+            assert namespace[name] is getattr(module, name)
     with pytest.raises(AttributeError, match="no attribute 'solve_schroedinger'"):
         hyiqp.solve_schroedinger
+
+
+def test_bare_import_loads_only_what_the_package_binds():
+    # the exports resolve on first access, so import hyiqp loads neither the
+    # tables (csv, hashlib), the closed form nor the oracle (numpy); the
+    # submodules it bound before the exports were lazy still resolve
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import hyiqp\n"
+        "loaded = set(sys.modules) - before\n"
+        "print(sorted(m for m in loaded if m.startswith('hyiqp')))\n"
+        "print(sorted(loaded & {'csv', 'hashlib', 'numpy'}))\n"
+        "print(hyiqp.spectrum.__name__, hyiqp.tables.__name__, hyiqp.hft.__name__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['hyiqp', 'hyiqp.constants', 'hyiqp.errors', 'hyiqp.jacobi', 'hyiqp.potential']",
+        "[]",
+        "hyiqp.spectrum hyiqp.tables hyiqp.hft",
+    ]
 
 
 def test_exported_functions_are_not_their_modules():

@@ -121,6 +121,26 @@ def test_registry_refuses_an_empty_name():
     assert str(err.value) == "extra.csv: empty molecule name in ',1.0,2.0,3.0,0.5,1.25'"
 
 
+@pytest.mark.parametrize("row, field", [
+    ("XY,1.0,2.0,3.0,-0.5,1.25", "alpha"),
+    ("XY,1.0,2.0,3.0,0.0,1.25", "alpha"),
+    ("XY,1.0,2.0,3.0,0.5,-1.25", "mu"),
+    ("XY,1.0,2.0,3.0,0.5,0", "mu"),
+])
+def test_registry_refuses_a_nonpositive_row_with_the_file_name(row, field):
+    with pytest.raises(DomainError) as err:
+        parse_registry("name,A,B,C,alpha,mu\n" + row, source="extra.csv")
+    assert str(err.value) == f"extra.csv: {field} must be positive for 'XY'"
+
+
+def test_registry_file_may_start_with_a_byte_order_mark(tmp_path, monkeypatch):
+    # Excel and PowerShell write UTF-8 with a BOM
+    extra = tmp_path / "extra.csv"
+    extra.write_bytes(b"\xef\xbb\xbfname,A,B,C,alpha,mu\r\nXY,1.0,2.0,3.0,0.5,1.25\r\n")
+    monkeypatch.setenv("HYIQP_REGISTRY", str(extra))
+    assert registry()["xy"] == Molecule("XY", 1.0, 2.0, 3.0, 0.5, 1.25)
+
+
 def test_mode_switch_leaves_registry_untouched():
     before = dict(BUILTIN_MOLECULES)
     hbar2_over_2mu(1.0, PAPER)
