@@ -9,21 +9,22 @@ wave-function figures), ``check`` (verification suites), ``molecules``
 Output is deterministic: fixed row ordering, floats at 12 significant
 digits, no timestamps.  Exit codes: 0 success, 1 check failure, 2 domain
 error (NaN or infinite input, any result that leaves double range, a
-registry file that redefines a molecule, and a registry or ``--output``
-path that cannot be opened), 3 unknown molecule/table lookup.
+registry file that redefines a molecule or is not UTF-8, a registry or
+``--output`` path that cannot be opened, a ``figure`` option that its id
+would ignore), 3 unknown molecule.
 
 Every default of a library parameter belongs to the library function the
 command calls; an option the user leaves out is not passed on.
 
-``checks`` and ``oracle`` import numpy at module level and are imported by
-the commands that use them, so ``energy``, ``table``, ``expect`` without
-``--oracle`` and ``molecules`` load no numpy.
+A command imports the layer it runs.  This module imports what ``energy``
+and ``molecules`` run; ``table``, ``expect`` and ``figure`` import
+``tables`` in their own bodies, ``expect --oracle`` ``oracle``, ``check``
+``checks``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -33,8 +34,6 @@ from .errors import DomainError, HyiqpError, UnknownMoleculeError
 from .hft import OBSERVABLES
 from .potential import DEFAULT_V0, PotentialParams
 from .spectrum import WAVEFUNCTION_CONVENTIONS, energy
-from .tables import (ReportRow, expectation_report, figure_potential_data,
-                     figure_wavefunction_data, regenerate_table)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -148,14 +147,9 @@ def cmd_energy(args) -> int:
     return EXIT_OK
 
 
-REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(ReportRow))
-
-
-def _report_rows(rows):
-    return [[getattr(r, column) for column in REPORT_COLUMNS] for r in rows]
-
-
 def cmd_expect(args) -> int:
+    from .tables import REPORT_COLUMNS, expectation_report, report_cells
+
     mol = get_molecule(args.molecule)
     p = PotentialParams.from_molecule(mol, **_given(v0=args.v0))
     oracle = None
@@ -169,18 +163,19 @@ def cmd_expect(args) -> int:
     env = Envelope(
         _meta(args, args.mode, molecule=mol.name, observable=args.observable,
               v0=fmt(p.v0)),
-        REPORT_COLUMNS, _report_rows(rows))
+        REPORT_COLUMNS, report_cells(rows))
     _emit(env, args)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
+    from .tables import REPORT_COLUMNS, regenerate_table, report_cells
+
     result = regenerate_table(args.id, for_mode(args.mode), **_given(v0=args.v0))
-    extra = {"table": result.table_id, "label": result.label}
-    for i, note in enumerate(result.notes):
-        extra[f"note{i + 1}"] = note
+    extra = {"table": result.table_id, "label": result.label,
+             **{f"note{i}": note for i, note in enumerate(result.notes, 1)}}
     env = Envelope(_meta(args, args.mode, **extra), REPORT_COLUMNS,
-                   _report_rows(result.rows))
+                   report_cells(result.rows))
     _emit(env, args)
     if result.missing:
         sys.stderr.write(
@@ -189,15 +184,24 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+# the figure options that apply to some figures only
+_FIGURE_OPTIONS = (("molecule", (1, 2), "figures 1-2"), ("alphas", (1,), "figure 1"),
+                   ("n", range(3, 10), "figures 3-9"), ("convention", range(3, 10), "figures 3-9"))
+
+
 def cmd_figure(args) -> int:
+    from .tables import figure_potential_data, figure_wavefunction_data
+
+    for option, figures, label in _FIGURE_OPTIONS:
+        if getattr(args, option) is not None and args.id not in figures:
+            raise DomainError(f"--{option} applies to {label}, not to figure {args.id}")
     window = _given(r_min=args.r_min, r_max=args.r_max, n_points=args.points)
     if args.id in (1, 2):
-        mol = get_molecule(args.molecule)
+        mol = get_molecule("H2" if args.molecule is None else args.molecule)
         p = PotentialParams.from_molecule(mol, **_given(v0=args.v0))
         if args.alphas is not None:
             window["alphas"] = tuple(_finite_list(args.alphas, "--alphas"))
-        columns, cols, extra = figure_potential_data(args.id, p, **window)
-        rows = list(zip(*cols))
+        columns, rows, extra = figure_potential_data(args.id, p, **window)
         extra.update({"figure": str(args.id), "molecule": mol.name, "v0": fmt(p.v0)})
     else:
         columns, rows, extra = figure_wavefunction_data(
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("figure", help="plot-ready data for figures 1..9")
     sp.add_argument("id", type=int, choices=range(1, 10))
-    sp.add_argument("--molecule", default="H2", help="molecule for figures 1-2")
+    sp.add_argument("--molecule", default=None, help="molecule for figures 1-2 (default H2)")
     # the defaults of the options below are figure_potential_data's and
     # figure_wavefunction_data's
     sp.add_argument("--mode", choices=("paper", "physical"), default="paper")

@@ -162,8 +162,13 @@ def registry() -> dict[str, Molecule]:
     if not path:
         return dict(BUILTIN_MOLECULES)
     # utf-8-sig drops the byte-order mark that Excel and PowerShell write
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return {**BUILTIN_MOLECULES, **parse_registry(fh.read(), source=path)}
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: "
+                          f"{exc.reason})") from None
+    return {**BUILTIN_MOLECULES, **parse_registry(text, source=path)}
 
 
 def get_molecule(name: str) -> Molecule:

@@ -22,11 +22,8 @@ error; both are kept as printed and flagged.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
-from dataclasses import dataclass
-from importlib import resources
+from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .constants import Molecule, PhysicalConstants, get_molecule
@@ -83,7 +80,7 @@ MISSING_TABLE_IDS = tuple(tid for tid, spec in TABLE_SPECS.items() if spec.fixtu
 
 
 def _fixture_bytes(filename: str) -> bytes:
-    return (resources.files("hyiqp") / "data" / "fixtures" / filename).read_bytes()
+    return (Path(__file__).with_name("data") / "fixtures" / filename).read_bytes()
 
 
 def load_fixture(table_id: str) -> dict[tuple[int, int], float]:
@@ -96,13 +93,15 @@ def fixture_tokens(table_id: str) -> dict[tuple[int, int], str]:
     spec = table_spec(table_id)
     if spec.fixture_file is None:
         raise DomainError(f"table {table_id} has no fixture data (never published)")
-    text = _fixture_bytes(spec.fixture_file).decode("utf-8")
-    return {(int(r["n"]), int(r["l"])): r["value"]
-            for r in csv.DictReader(io.StringIO(text))}
+    # the header, then one plain n,l,value line per cell; SHA256SUMS keeps them so
+    lines = _fixture_bytes(spec.fixture_file).decode("utf-8").splitlines()[1:]
+    return {(int(n), int(l)): value for n, l, value in (line.split(",") for line in lines)}
 
 
 def verify_fixture_checksums() -> list[str]:
     """Recompute fixture digests against the manifest; returns failures."""
+    import hashlib
+
     manifest = _fixture_bytes("SHA256SUMS").decode("utf-8")
     failures = []
     for line in manifest.strip().splitlines():
@@ -139,6 +138,14 @@ class ReportRow:
     dev_md_oracle: float | None = None
     dev_vs_table: float | None = None
     note: str = ""
+
+
+REPORT_COLUMNS = tuple(field.name for field in fields(ReportRow))
+
+
+def report_cells(rows: list[ReportRow]) -> list[list]:
+    """The report's rows as cells in REPORT_COLUMNS order."""
+    return [[getattr(row, column) for column in REPORT_COLUMNS] for row in rows]
 
 
 def rel_dev(a: float | None, b: float | None) -> float | None:
@@ -230,13 +237,9 @@ def regenerate_table(table_id: str, constants: PhysicalConstants, *,
     """
     spec = table_spec(table_id)
     if spec.table_id in MISSING_TABLE_IDS:
-        return TableResult(
-            table_id=spec.table_id, label=spec.label, rows=[], missing=True,
-            notes=(
-                f"table {spec.table_id} is absent from the reference set; "
-                "an unattributed candidate block is available as table 2b",
-            ),
-        )
+        notes = (f"table {spec.table_id} is absent from the reference set; "
+                 "an unattributed candidate block is available as table 2b",)
+        return TableResult(spec.table_id, spec.label, [], notes, missing=True)
     if spec.molecule is None:
         rows = [ReportRow(n=n, l=l, paper_table=value, note="fixture only")
                 for (n, l), value in sorted(load_fixture(spec.table_id).items())]
@@ -252,7 +255,7 @@ def regenerate_table(table_id: str, constants: PhysicalConstants, *,
 def figure_potential_data(figure_id: int, p: PotentialParams, *,
                           alphas=FIGURE_ALPHAS, r_min: float = 0.05,
                           r_max: float = 10.0, n_points: int = 512):
-    """Columns (r, F, F1, F2, F3) for the potential figures, as lists of floats.
+    """Rows (r, F, F1, F2, F3) of Python floats for the potential figures.
 
     Figure 1 sweeps the screening parameter: F..F3 are the combined
     potential at the four alphas.  Figure 2 overlays the combined potential
@@ -274,7 +277,7 @@ def figure_potential_data(figure_id: int, p: PotentialParams, *,
             meta = {"curves": "F=combined,F1=hulthen,F2=yukawa,F3=inverse-quadratic"}
         else:
             raise DomainError("potential figures are 1 and 2")
-    return ("r", "F", "F1", "F2", "F3"), tuple(c.tolist() for c in cols), meta
+    return ("r", "F", "F1", "F2", "F3"), list(zip(*(c.tolist() for c in cols))), meta
 
 
 def figure_wavefunction_data(figure_id: int, constants: PhysicalConstants, *,

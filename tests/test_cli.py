@@ -79,6 +79,27 @@ def test_conflicting_flags_rejected(capsys):
     assert code == EXIT_DOMAIN and "--v0" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(("figure", "5", "--molecule", "Xe", "--alphas", "1"), "--molecule",
+                 id="figure-5-molecule-alphas"),
+    pytest.param(("figure", "3", "--molecule", "H2"), "--molecule", id="figure-3-molecule"),
+    pytest.param(("figure", "2", "--alphas", "1,2,3"), "--alphas", id="figure-2-alphas"),
+    pytest.param(("figure", "9", "--alphas", "0.1,0.2,0.3,0.4"), "--alphas",
+                 id="figure-9-alphas"),
+    pytest.param(("figure", "1", "--n", "3", "--convention", "orthodox"), "--n",
+                 id="figure-1-n-convention"),
+    pytest.param(("figure", "2", "--n", "0"), "--n", id="figure-2-n"),
+    pytest.param(("figure", "1", "--convention", "literal"), "--convention",
+                 id="figure-1-convention"),
+])
+def test_figure_refuses_an_option_that_does_not_apply_to_its_id(capsys, argv, option):
+    # like energy's --mu and --v0: an option the figure would ignore is an error
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"error: {option} applies to ") and err.count("\n") == 1
+
+
 def test_missing_table_notice_exits_zero(capsys):
     code, out, err = run(capsys, "table", "3")
     assert code == EXIT_OK
@@ -662,16 +683,21 @@ TABLE_IDS = ["2", "2b"] + [str(i) for i in range(3, 18)]
 
 # scipy.linalg._flapack is loaded on its own, so these names match exactly
 ORACLE_SKIPS = ("scipy.linalg", "scipy.special", "numpy.f2py")
+# a command imports the layer it runs: energy and molecules run no tables, and
+# the fixture reader needs neither csv nor hashlib (only the checksum check does)
+FIXTURE_SKIPS = ("csv", "hashlib")
+TABLES_SKIPS = ("hyiqp.tables",) + FIXTURE_SKIPS
 
 
 @pytest.mark.parametrize("argvs, trees, names", [
-    pytest.param([], ("numpy", "scipy"), (), id="import-hyiqp"),
+    pytest.param([], ("numpy", "scipy"), TABLES_SKIPS, id="import-hyiqp"),
     pytest.param([["energy", "--molecule", "CO", "--n", "3", "--l", "2"]],
-                 ("numpy", "scipy"), (), id="energy"),
-    pytest.param([["table", t] for t in TABLE_IDS], ("numpy", "scipy"), (), id="table"),
+                 ("numpy", "scipy"), TABLES_SKIPS, id="energy"),
+    pytest.param([["table", t] for t in TABLE_IDS], ("numpy", "scipy"), FIXTURE_SKIPS,
+                 id="table"),
     pytest.param([["expect", "--molecule", "HCl", "--observable", "T"]],
-                 ("numpy", "scipy"), (), id="expect"),
-    pytest.param([["molecules"]], ("numpy", "scipy"), (), id="molecules"),
+                 ("numpy", "scipy"), FIXTURE_SKIPS, id="expect"),
+    pytest.param([["molecules"]], ("numpy", "scipy"), TABLES_SKIPS, id="molecules"),
     pytest.param([["figure", "9"]], ("scipy",), (), id="figure-9"),
     pytest.param([["check", "all"]], ("scipy.integrate",), (), id="check-all"),
     pytest.param([["expect", "--molecule", "HCl", "--observable", "T", "--mode", "paper",
@@ -685,7 +711,8 @@ def test_cold_commands_import_only_the_numpy_and_scipy_they_use(argvs, trees, na
     # closed form is scalar math and needs neither numpy nor scipy, the
     # figures' ground states are normalized without Gauss-Jacobi nodes, the
     # normalization re-check integrates with numpy's Gauss-Legendre rule, and
-    # the grid oracle loads scipy's LAPACK extension without scipy.linalg;
+    # the grid oracle loads scipy's LAPACK extension without scipy.linalg; the
+    # same holds for the report layer and what only some of its functions use;
     # trees forbid a package and its submodules, names only those modules
     src = Path(__file__).resolve().parents[1] / "src"
     prefixes = tuple(name + "." for name in trees)

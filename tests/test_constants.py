@@ -141,6 +141,16 @@ def test_registry_file_may_start_with_a_byte_order_mark(tmp_path, monkeypatch):
     assert registry()["xy"] == Molecule("XY", 1.0, 2.0, 3.0, 0.5, 1.25)
 
 
+def test_registry_file_that_is_not_utf8_is_refused_with_its_name(tmp_path, monkeypatch):
+    # a Latin-1 e-acute in a molecule name
+    extra = tmp_path / "latin1.csv"
+    extra.write_bytes(b"name,A,B,C,alpha,mu\nX\xe9,1.0,2.0,3.0,0.5,1.25\n")
+    monkeypatch.setenv("HYIQP_REGISTRY", str(extra))
+    with pytest.raises(DomainError) as err:
+        registry()
+    assert str(err.value) == f"{extra}: not UTF-8 text (byte 0xe9: invalid continuation byte)"
+
+
 def test_mode_switch_leaves_registry_untouched():
     before = dict(BUILTIN_MOLECULES)
     hbar2_over_2mu(1.0, PAPER)

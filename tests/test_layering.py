@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hyiqp
-from hyiqp import hft, spectrum
+from hyiqp import cli, hft, spectrum
 
 PACKAGE = Path(hyiqp.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -56,7 +56,7 @@ def test_the_halves_do_not_import_each_other(module):
 
 @pytest.mark.parametrize("module, name", [
     (hft, "expectation_report"), (hft, "ReportRow"), (hft, "rel_dev"),
-    (spectrum, "count_sign_changes"),
+    (spectrum, "count_sign_changes"), (cli, "REPORT_COLUMNS"), (cli, "ReportRow"),
 ])
 def test_moved_names_leave_no_alias(module, name):
     assert not hasattr(module, name)

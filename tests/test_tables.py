@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import io
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -27,6 +30,14 @@ def test_spot_fixture_tokens_are_verbatim():
     assert fixture_tokens("10")[(2, 3)] == "-.640317976640"
     assert fixture_tokens("14")[(0, 3)] == ".426507121319"
     assert fixture_tokens("5")[(8, 3)] == "0.0040288991466"   # positive outlier
+
+
+@pytest.mark.parametrize("tid", [t for t in TABLE_SPECS if t not in MISSING_TABLE_IDS])
+def test_fixture_reader_matches_a_csv_reader(tid):
+    # the reader splits fixed n,l,value lines; a CSV reader of the same bytes agrees
+    raw = (resources.files("hyiqp") / "data" / "fixtures" / TABLE_SPECS[tid].fixture_file).read_bytes()
+    rows = csv.DictReader(io.StringIO(raw.decode("utf-8")))
+    assert fixture_tokens(tid) == {(int(r["n"]), int(r["l"])): r["value"] for r in rows}
 
 
 def test_fixture_values_parse():
@@ -137,11 +148,13 @@ def test_unknown_table_id():
 
 def test_figure1_sweeps_screening_values():
     p = PotentialParams.from_molecule(get_molecule("H2"), v0=5.0)
-    columns, cols, meta = figure_potential_data(1, p, alphas=(0.1, 0.2, 0.3, 0.4))
+    columns, rows, meta = figure_potential_data(1, p, alphas=(0.1, 0.2, 0.3, 0.4))
     assert columns == ("r", "F", "F1", "F2", "F3")
-    assert all(len(col) == 512 and type(col[0]) is float for col in cols)
+    assert len(rows) == 512
+    assert all(len(row) == 5 and all(type(v) is float for v in row) for row in rows)
     assert "alpha=0.1" in meta["curves"]
     # stronger screening pulls the well in faster at moderate r
+    cols = list(zip(*rows))
     assert not np.array_equal(cols[1], cols[2])
     with pytest.raises(DomainError):
         figure_potential_data(1, p, alphas=(0.1, 0.2))
@@ -149,9 +162,9 @@ def test_figure1_sweeps_screening_values():
 
 def test_figure2_overlays_limits():
     p = PotentialParams.from_molecule(get_molecule("H2"), v0=5.0)
-    columns, cols, meta = figure_potential_data(2, p)
+    columns, rows, meta = figure_potential_data(2, p)
     assert columns == ("r", "F", "F1", "F2", "F3")
-    r, f, f1, f2, f3 = map(np.array, cols)
+    r, f, f1, f2, f3 = np.array(rows).T
     assert np.allclose(f, f1 + f2 + f3 + p.c, rtol=1e-14, atol=1e-14)
 
 
