@@ -36,9 +36,9 @@ _EXPORTS = {
     "potential": ("PotentialParams", "effective_potential", "greene_aldrich_inv_r",
                   "greene_aldrich_inv_r2", "hulthen", "inverse_quadratic", "potential",
                   "potential_curves", "yukawa"),
-    "spectrum": ("NUIntermediates", "SpectrumResult", "energy", "energy_hulthen",
-                 "energy_iqp", "energy_value", "energy_yukawa",
-                 "normalization_constant", "nu_consistency", "wavefunction"),
+    "spectrum": ("SpectrumResult", "energy", "energy_hulthen", "energy_iqp",
+                 "energy_value", "energy_yukawa", "normalization_constant",
+                 "nu_consistency", "wavefunction"),
     "tables": ("TableResult", "expectation_report", "load_fixture", "regenerate_table",
                "verify_fixture_checksums"),
 }

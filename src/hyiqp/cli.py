@@ -10,8 +10,11 @@ Output is deterministic: fixed row ordering, floats at 12 significant
 digits, no timestamps.  Exit codes: 0 success, 1 check failure, 2 domain
 error (NaN or infinite input, any result that leaves double range, a
 registry file that redefines a molecule or is not UTF-8, a registry or
-``--output`` path that cannot be opened, a ``figure`` option that its id
-would ignore), 3 unknown molecule.
+``--output`` path that cannot be opened, an option that its target would
+ignore: ``figure --molecule`` and ``--alphas`` off figures 1-2 and 1,
+``figure --n``, ``--convention`` and ``--mode`` off figures 3-9, ``table
+--v0`` and ``--mode`` on a table without a molecule (2b, 3, 4), ``expect
+--exp-factor-r`` off observable r-1), 3 unknown molecule.
 
 Every default of a library parameter belongs to the library function the
 command calls; an option the user leaves out is not passed on.
@@ -150,6 +153,9 @@ def cmd_energy(args) -> int:
 def cmd_expect(args) -> int:
     from .tables import REPORT_COLUMNS, expectation_report, report_cells
 
+    if args.exp_factor_r is not None and args.observable != "r-1":
+        raise DomainError(f"--exp-factor-r applies to observable r-1, "
+                          f"not to {args.observable}")
     mol = get_molecule(args.molecule)
     p = PotentialParams.from_molecule(mol, **_given(v0=args.v0))
     oracle = None
@@ -169,12 +175,18 @@ def cmd_expect(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .tables import REPORT_COLUMNS, regenerate_table, report_cells
+    from .tables import REPORT_COLUMNS, regenerate_table, report_cells, table_spec
 
-    result = regenerate_table(args.id, for_mode(args.mode), **_given(v0=args.v0))
+    spec = table_spec(args.id)
+    for option in ("v0", "mode"):
+        if getattr(args, option) is not None and spec.molecule is None:
+            raise DomainError(f"--{option} applies to tables with a molecule, "
+                              f"not to table {spec.table_id}")
+    mode = args.mode or "paper"
+    result = regenerate_table(args.id, for_mode(mode), **_given(v0=args.v0))
     extra = {"table": result.table_id, "label": result.label,
              **{f"note{i}": note for i, note in enumerate(result.notes, 1)}}
-    env = Envelope(_meta(args, args.mode, **extra), REPORT_COLUMNS,
+    env = Envelope(_meta(args, mode, **extra), REPORT_COLUMNS,
                    report_cells(result.rows))
     _emit(env, args)
     if result.missing:
@@ -186,7 +198,8 @@ def cmd_table(args) -> int:
 
 # the figure options that apply to some figures only
 _FIGURE_OPTIONS = (("molecule", (1, 2), "figures 1-2"), ("alphas", (1,), "figure 1"),
-                   ("n", range(3, 10), "figures 3-9"), ("convention", range(3, 10), "figures 3-9"))
+                   ("n", range(3, 10), "figures 3-9"), ("convention", range(3, 10), "figures 3-9"),
+                   ("mode", range(3, 10), "figures 3-9"))
 
 
 def cmd_figure(args) -> int:
@@ -195,6 +208,7 @@ def cmd_figure(args) -> int:
     for option, figures, label in _FIGURE_OPTIONS:
         if getattr(args, option) is not None and args.id not in figures:
             raise DomainError(f"--{option} applies to {label}, not to figure {args.id}")
+    mode = args.mode or "paper"
     window = _given(r_min=args.r_min, r_max=args.r_max, n_points=args.points)
     if args.id in (1, 2):
         mol = get_molecule("H2" if args.molecule is None else args.molecule)
@@ -205,10 +219,10 @@ def cmd_figure(args) -> int:
         extra.update({"figure": str(args.id), "molecule": mol.name, "v0": fmt(p.v0)})
     else:
         columns, rows, extra = figure_wavefunction_data(
-            args.id, for_mode(args.mode), **window,
+            args.id, for_mode(mode), **window,
             **_given(n=args.n, v0=args.v0, convention=args.convention))
         extra["figure"] = str(args.id)
-    env = Envelope(_meta(args, args.mode, **extra), columns, rows)
+    env = Envelope(_meta(args, mode, **extra), columns, rows)
     _emit(env, args)
     return EXIT_OK
 
@@ -282,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="regenerate a bundled reference table")
     sp.add_argument("id", help="2, 2b, or 3..17")
-    sp.add_argument("--mode", choices=("paper", "physical"), default="paper")
+    # --mode and --v0 apply to the tables with a molecule; --mode defaults to paper
+    sp.add_argument("--mode", choices=("paper", "physical"), default=None)
     sp.add_argument("--v0", type=_finite_float, default=None)
     add_io(sp)
     sp.set_defaults(func=cmd_table)
@@ -292,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--molecule", default=None, help="molecule for figures 1-2 (default H2)")
     # the defaults of the options below are figure_potential_data's and
     # figure_wavefunction_data's
-    sp.add_argument("--mode", choices=("paper", "physical"), default="paper")
+    sp.add_argument("--mode", choices=("paper", "physical"), default=None,
+                    help="constants for figures 3-9 (default paper)")
     sp.add_argument("--v0", type=_finite_float, default=None)
     sp.add_argument("--alphas", default=None,
                     help="four comma-separated screening values for figure 1")

@@ -57,11 +57,14 @@ WAVEFUNCTION_CONVENTIONS = ("literal", "weight", "orthodox")
 class SpectrumResult:
     """One closed-form level with its quantization audit.
 
-    nu_residual is |lambda - lambda_n| evaluated on the solved branch of
-    sqrt(eps2 + sigma3) and must vanish to rounding for every returned
-    result.  tau_slope is the bound-branch tau'(s); tau_slope >= 0 means the
-    construction's own bound-state condition fails for this (n, l), which is
-    reported here rather than raised.  below_asymptote flags E < C.
+    energy returns it, and nu_consistency returns the same record once its
+    residual passes the audit bound.  nu_residual is |lambda - lambda_n|
+    evaluated on the solved branch of sqrt(eps2 + sigma3); it vanishes to
+    rounding, and nu_consistency raises ConvergenceError when it exceeds
+    NU_RESIDUAL_TOL times the largest term of lambda.  tau_slope is the
+    bound-branch tau'(s); tau_slope >= 0 means the construction's own
+    bound-state condition fails for this (n, l), which is reported here
+    rather than raised.  below_asymptote flags E < C.
     """
 
     energy: float
@@ -74,22 +77,6 @@ class SpectrumResult:
     tau_slope: float
     bound_condition_ok: bool
     below_asymptote: bool
-
-
-@dataclass(frozen=True)
-class NUIntermediates:
-    """Internals of the hypergeometric reduction at one solved level."""
-
-    k1: float
-    k2: float
-    pi_slope: float        # linear coefficient of the bound-branch pi(s)
-    pi_intercept: float
-    tau_slope: float
-    lam: float
-    lam_n: float
-    residual: float
-    root: float
-    bound_condition_ok: bool
 
 
 def _check_nl(n, l, allow_real_l=False):
@@ -139,30 +126,16 @@ def energy_value(p: PotentialParams, mu: float, n: int, l: float,
     return -4.0 * h2 * p.alpha**2 * (m_num / d_den) ** 2 + p.c
 
 
-def _audit(p: PotentialParams, mu: float, n: int, l: int,
-           constants: PhysicalConstants):
-    """The audit energy and nu_consistency share: int n and l, _energy_pieces,
-    root = M/D, lambda, lambda_n, tau' and the bound on |lambda - lambda_n|.
-    The lambdas cancel, so the bound is NU_RESIDUAL_TOL times their largest
-    term (the residual was up to 1.2e-15 of it over 100000 random states).
-    """
-    _check_nl(n, l)
-    n, l = int(n), int(l)
-    pieces = _energy_pieces(p, mu, n, l, constants)
-    _h2, gamma, delta2, sigma1, sigma2, _s3, m_num, d_den = pieces
-    root = m_num / d_den
-    lam, lam_n = _lambda_pair(root, gamma, sigma1, sigma2, delta2, n, l)
-    tau_slope = -2.0 - 2.0 * (0.5 * gamma - root)
-    tol = NU_RESIDUAL_TOL * max(1.0, abs(sigma1), abs(sigma2), abs(delta2),
-                                abs(root * gamma), l * (l + 1.0), n * n)
-    return n, l, pieces, root, lam, lam_n, tau_slope, tol
-
-
 def energy(p: PotentialParams, mu: float, n: int, l: int,
            constants: PhysicalConstants) -> SpectrumResult:
     """Level energy plus the quantization audit for integer quantum numbers."""
-    n, l, pieces, root, lam, lam_n, tau_slope, _tol = _audit(p, mu, n, l, constants)
-    h2, gamma, _d2, _s1, _s2, sigma3, _m, _d = pieces
+    _check_nl(n, l)
+    n, l = int(n), int(l)
+    h2, gamma, delta2, sigma1, sigma2, sigma3, m_num, d_den = _energy_pieces(
+        p, mu, n, l, constants)
+    root = m_num / d_den
+    lam, lam_n = _lambda_pair(root, gamma, sigma1, sigma2, delta2, n, l)
+    tau_slope = -2.0 - 2.0 * (0.5 * gamma - root)
     e_val = -4.0 * h2 * p.alpha**2 * root**2 + p.c
     return SpectrumResult(
         energy=e_val,
@@ -192,37 +165,24 @@ def _lambda_pair(root, gamma, sigma1, sigma2, delta2, n, l):
 
 
 def nu_consistency(p: PotentialParams, mu: float, n: int, l: int,
-                   constants: PhysicalConstants) -> NUIntermediates:
-    """Rebuild the hypergeometric internals at the solved level and audit them.
+                   constants: PhysicalConstants) -> SpectrumResult:
+    """energy's level, once its quantization residual passes the audit bound.
 
-    The returned residual |lambda - lambda_n| is evaluated on the branch the
-    quantization was solved on (root = M/D, sign included) and must not
-    exceed NU_RESIDUAL_TOL times their largest term (ConvergenceError).  A
-    violated bound-state condition (tau' >= 0) is reported through
-    bound_condition_ok, never silently.
+    lambda and lambda_n cancel, so the bound is NU_RESIDUAL_TOL times their
+    largest term (the residual was up to 1.2e-15 of it over 100000 random
+    states); a larger residual raises ConvergenceError.  A violated
+    bound-state condition (tau' >= 0) is reported through
+    bound_condition_ok, never raised.
     """
-    n, l, pieces, root, lam, lam_n, tau_slope, tol = _audit(p, mu, n, l, constants)
-    _h2, gamma, delta2, sigma1, sigma2, _s3, _m, _d = pieces
-    residual = abs(lam - lam_n)
-    if residual > tol:
+    res = energy(p, mu, n, l, constants)
+    n, l = res.n, res.l
+    _h2, _g, delta2, sigma1, sigma2, _s3, _m, _d = _energy_pieces(p, mu, n, l, constants)
+    tol = NU_RESIDUAL_TOL * max(1.0, abs(sigma1), abs(sigma2), abs(delta2),
+                                abs(res.root * res.gamma), l * (l + 1.0), n * n)
+    if res.nu_residual > tol:
         raise ConvergenceError(
-            f"quantization residual {residual:.3e} exceeds {tol:.1e} at n={n}, l={l}")
-    # k roots of the discriminant condition; the principal square root of
-    # (eps2 + sigma3) * gamma^2 evaluated at the solved level
-    k_sqrt = abs(root) * gamma
-    k_base = -(sigma2 - sigma1 - delta2 + l * (l + 1.0))
-    return NUIntermediates(
-        k1=k_base + k_sqrt,
-        k2=k_base - k_sqrt,
-        pi_slope=-0.5 - (0.5 * gamma - root),
-        pi_intercept=root,
-        tau_slope=tau_slope,
-        lam=lam,
-        lam_n=lam_n,
-        residual=residual,
-        root=root,
-        bound_condition_ok=tau_slope < 0.0,
-    )
+            f"quantization residual {res.nu_residual:.3e} exceeds {tol:.1e} at n={n}, l={l}")
+    return res
 
 
 def energy_hulthen(v0: float, alpha: float, mu: float, n: int, l: int,

@@ -91,9 +91,31 @@ def test_conflicting_flags_rejected(capsys):
     pytest.param(("figure", "2", "--n", "0"), "--n", id="figure-2-n"),
     pytest.param(("figure", "1", "--convention", "literal"), "--convention",
                  id="figure-1-convention"),
+    pytest.param(("figure", "1", "--mode", "physical"), "--mode", id="figure-1-mode"),
+    pytest.param(("figure", "2", "--mode", "paper"), "--mode", id="figure-2-mode"),
 ])
 def test_figure_refuses_an_option_that_does_not_apply_to_its_id(capsys, argv, option):
     # like energy's --mu and --v0: an option the figure would ignore is an error
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"error: {option} applies to ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(("table", "2b", "--v0", "4"), "--v0", id="table-2b-v0"),
+    pytest.param(("table", "3", "--v0", "4", "--mode", "physical"), "--v0",
+                 id="table-3-v0-mode"),
+    pytest.param(("table", "4", "--mode", "paper"), "--mode", id="table-4-mode"),
+    pytest.param(("table", "2b", "--mode", "physical"), "--mode", id="table-2b-mode"),
+    pytest.param(("expect", "--molecule", "H2", "--observable", "T", "--exp-factor-r", "2"),
+                 "--exp-factor-r", id="expect-T-exp-factor-r"),
+    pytest.param(("expect", "--molecule", "CO", "--observable", "r-2",
+                  "--exp-factor-r", "0"), "--exp-factor-r", id="expect-r-2-exp-factor-r"),
+])
+def test_table_and_expect_refuse_an_option_that_their_target_ignores(capsys, argv, option):
+    # table 2b has no molecule and tables 3 and 4 were never published, so
+    # neither --v0 nor --mode reaches them; --exp-factor-r scales r-1 only
     code, out, err = run(capsys, *argv)
     assert code == EXIT_DOMAIN
     assert out == ""
@@ -602,6 +624,8 @@ def _argvs(draw):
 
     Numbers span the whole finite double range and go in as --option=value,
     so that argparse reads a negative or exponent-form value as a value.
+    Each option is drawn only where its command applies it, so that every
+    draw reaches the command body rather than its refusal.
     """
     command = draw(st.sampled_from(("energy-params", "energy", "expect", "table", "figure")))
     if command == "energy-params":
@@ -612,21 +636,26 @@ def _argvs(draw):
         argv = ["energy", "--molecule", draw(_MOLECULE), f"--v0={draw(_NUMBER)}",
                 "--n", draw(_INDEX), "--l", draw(_INDEX)]
     elif command == "expect":
-        argv = ["expect", "--molecule", draw(_MOLECULE),
-                "--observable", draw(st.sampled_from(("r-2", "r-1", "T", "p2"))),
+        observable = draw(st.sampled_from(("r-2", "r-1", "T", "p2")))
+        argv = ["expect", "--molecule", draw(_MOLECULE), "--observable", observable,
                 f"--v0={draw(_NUMBER)}", "--n-max", str(draw(st.integers(0, 3))),
                 "--l-max", str(draw(st.integers(0, 3)))]
-        if draw(st.booleans()):
+        if observable == "r-1" and draw(st.booleans()):
             argv.append(f"--exp-factor-r={draw(_NUMBER)}")
     elif command == "table":
+        # tables 2b, 3 and 4 have no molecule and take neither --v0 nor --mode
         table = draw(st.sampled_from(["2", "2b"] + [str(i) for i in range(3, 18)]))
-        argv = ["table", table, f"--v0={draw(_NUMBER)}"]
+        argv = ["table", table]
+        if table in ("2b", "3", "4"):
+            return argv
+        argv.append(f"--v0={draw(_NUMBER)}")
     else:
         figure = draw(st.integers(1, 9))
         argv = ["figure", str(figure), f"--v0={draw(_NUMBER)}", "--points", "16"]
-        if figure >= 3:
-            argv += ["--n", str(draw(st.integers(0, 3))), "--convention",
-                     draw(st.sampled_from(("literal", "weight", "orthodox")))]
+        if figure < 3:
+            return argv
+        argv += ["--n", str(draw(st.integers(0, 3))), "--convention",
+                 draw(st.sampled_from(("literal", "weight", "orthodox")))]
     return argv + ["--mode", draw(st.sampled_from(("paper", "physical")))]
 
 
@@ -747,8 +776,8 @@ PUBLIC_NAMES = {
     "potential": ("PotentialParams", "effective_potential", "greene_aldrich_inv_r",
                   "greene_aldrich_inv_r2", "hulthen", "inverse_quadratic", "potential",
                   "potential_curves", "yukawa"),
-    "spectrum": ("NUIntermediates", "SpectrumResult", "energy", "energy_hulthen",
-                 "energy_iqp", "energy_value", "energy_yukawa", "normalization_constant",
+    "spectrum": ("SpectrumResult", "energy", "energy_hulthen", "energy_iqp",
+                 "energy_value", "energy_yukawa", "normalization_constant",
                  "nu_consistency", "wavefunction"),
     "tables": ("TableResult", "expectation_report", "load_fixture", "regenerate_table",
                "verify_fixture_checksums"),
@@ -765,7 +794,7 @@ def test_every_exported_name_resolves():
     exec("from hyiqp import *", namespace)
     expected = {name for names in PUBLIC_NAMES.values() for name in names}
     assert set(hyiqp.__all__) == expected | {"__version__"}
-    assert len(hyiqp.__all__) == 51
+    assert len(hyiqp.__all__) == 50
     for module_name, names in PUBLIC_NAMES.items():
         module = importlib.import_module(f"hyiqp.{module_name}")
         for name in names:

@@ -56,7 +56,8 @@ def test_the_halves_do_not_import_each_other(module):
 
 @pytest.mark.parametrize("module, name", [
     (hft, "expectation_report"), (hft, "ReportRow"), (hft, "rel_dev"),
-    (spectrum, "count_sign_changes"), (cli, "REPORT_COLUMNS"), (cli, "ReportRow"),
+    (spectrum, "count_sign_changes"), (spectrum, "NUIntermediates"), (spectrum, "_audit"),
+    (cli, "REPORT_COLUMNS"), (cli, "ReportRow"),
 ])
 def test_moved_names_leave_no_alias(module, name):
     assert not hasattr(module, name)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from hyiqp.constants import PAPER, PHYSICAL, BUILTIN_MOLECULES, get_molecule, hbar2_over_2mu
-from hyiqp.errors import DomainError, UnsupportedRegimeError
+from hyiqp.errors import ConvergenceError, DomainError, UnsupportedRegimeError
 from hyiqp.potential import PotentialParams
 from hyiqp.spectrum import (energy, energy_hulthen, energy_iqp, energy_value,
                             energy_yukawa, nu_consistency)
@@ -113,9 +113,7 @@ def test_nu_residual_sweep():
         p = PotentialParams.from_molecule(mol, v0=0.0)
         for n in range(5):
             for l in range(5):
-                nu = nu_consistency(p, mol.mu, n, l, PAPER)
-                assert nu.residual <= 1e-10
-                assert nu.lam == pytest.approx(nu.lam_n, abs=1e-10)
+                assert nu_consistency(p, mol.mu, n, l, PAPER).nu_residual <= 1e-10
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -123,21 +121,38 @@ def test_nu_residual_sweep():
        physical=st.booleans())
 def test_nu_consistency_holds_everywhere(v0, a, b, c, log_alpha, log_mu, n, l, physical):
     # lambda and lambda_n cancel, so their residual is rounding of their
-    # largest term, and the audit's bound scales with that term
+    # largest term, and the audit's bound scales with that term: the audit
+    # passes and returns energy's own record
     p = PotentialParams(v0, a, b, c, 10.0**log_alpha)
     mu, constants = 10.0**log_mu, PHYSICAL if physical else PAPER
-    nu = nu_consistency(p, mu, n, l, constants)
-    assert nu.residual == energy(p, mu, n, l, constants).nu_residual
+    assert nu_consistency(p, mu, n, l, constants) == energy(p, mu, n, l, constants)
 
 
 def test_nu_all_zero_collapses_to_exact_equality():
     # every strength zero: gamma = 1, root = 1/2, and both eigenvalue
-    # parameters vanish identically
+    # parameters vanish identically, so their residual is exactly zero
     p = PotentialParams(v0=0.0, a=0.0, b=0.0, c=0.0, alpha=0.5)
-    nu = nu_consistency(p, 1.0, 0, 0, PAPER)
-    assert nu.lam == 0.0
-    assert nu.lam_n == 0.0
-    assert nu.residual == 0.0
+    res = nu_consistency(p, 1.0, 0, 0, PAPER)
+    assert (res.gamma, res.root, res.nu_residual) == (1.0, 0.5, 0.0)
+
+
+def test_nu_consistency_raises_on_a_residual_above_its_bound(monkeypatch):
+    # lambda off by 1e-6: energy still returns the level with that residual,
+    # and the audit refuses it, naming the state
+    from hyiqp import spectrum
+
+    real = spectrum._lambda_pair
+
+    def off_by_1e6(*args):
+        lam, lam_n = real(*args)
+        return lam + 1e-6, lam_n
+
+    monkeypatch.setattr(spectrum, "_lambda_pair", off_by_1e6)
+    p = PotentialParams.from_molecule(H2, v0=0.0)
+    res = energy(p, H2.mu, 2, 1, PAPER)
+    assert res.nu_residual == pytest.approx(1e-6, rel=1e-3)
+    with pytest.raises(ConvergenceError, match=r"quantization residual .* at n=2, l=1$"):
+        nu_consistency(p, H2.mu, 2, 1, PAPER)
 
 
 def test_gamma_is_exactly_2l_plus_1_when_b_vanishes():
@@ -146,14 +161,11 @@ def test_gamma_is_exactly_2l_plus_1_when_b_vanishes():
         assert energy(p, 1.3, 1, l, PAPER).gamma == 2 * l + 1
 
 
-def test_nu_intermediates_structure():
+def test_tau_slope_is_the_bound_branch_tau_prime():
     p = PotentialParams.from_molecule(H2, v0=0.0)
-    nu = nu_consistency(p, H2.mu, 2, 1, PAPER)
-    # k1 and k2 bracket the shared base value symmetrically
-    assert nu.k1 >= nu.k2
-    assert nu.pi_intercept == pytest.approx(nu.root, rel=1e-15)
-    assert nu.tau_slope == pytest.approx(-2 - 2 * (0.5 * energy(p, H2.mu, 2, 1, PAPER).gamma - nu.root), rel=1e-12)
-    assert nu.bound_condition_ok
+    res = nu_consistency(p, H2.mu, 2, 1, PAPER)
+    assert res.tau_slope == pytest.approx(-2 - 2 * (0.5 * res.gamma - res.root), rel=1e-12)
+    assert res.bound_condition_ok
 
 
 def test_bound_condition_flags_model_cutoff_states():
